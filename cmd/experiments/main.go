@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"time"
@@ -182,10 +181,7 @@ func main() {
 
 	if *simSpeed != "" {
 		rec := harness.SpeedRecord{
-			Timestamp:             time.Now().UTC().Format(time.RFC3339),
-			GitSHA:                gitSHA(),
-			GoVersion:             runtime.Version(),
-			NumCPU:                runtime.NumCPU(),
+			Provenance:            harness.NewProvenance(),
 			Parallel:              suite.Options().Parallel,
 			Quick:                 *quick,
 			Experiments:           ids,
@@ -194,8 +190,8 @@ func main() {
 			SimulatedMIPS:         mips,
 			PerExperiment:         timings,
 		}
-		switch err := harness.AppendSpeedRecord(*simSpeed, rec); {
-		case errors.Is(err, harness.ErrDuplicateSpeedRecord):
+		switch err := harness.AppendRecord(*simSpeed, rec); {
+		case errors.Is(err, harness.ErrDuplicateRecord):
 			// Same tree, same configuration: refuse the duplicate but
 			// don't fail the run — the measurement itself succeeded.
 			fmt.Fprintf(os.Stderr, "experiments: %v; not appending\n", err)
@@ -229,21 +225,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
 	exit(0)
-}
-
-// gitSHA identifies the working tree for the throughput trajectory:
-// the short commit hash, "-dirty" when uncommitted changes exist, or ""
-// when git is unavailable (then duplicate detection is skipped).
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	sha := strings.TrimSpace(string(out))
-	if status, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(status) > 0 {
-		sha += "-dirty"
-	}
-	return sha
 }
 
 func renderSummary(reports []harness.Report, quick bool) string {

@@ -10,12 +10,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
-	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
@@ -182,10 +182,10 @@ func main() {
 	}
 
 	var all []float64
-	errors := 0
+	failed := 0
 	for w := range lats {
 		all = append(all, lats[w]...)
-		errors += errCounts[w]
+		failed += errCounts[w]
 	}
 	sort.Float64s(all)
 	pct := func(p float64) float64 {
@@ -199,17 +199,14 @@ func main() {
 	rate := float64(total) / wall
 
 	fmt.Printf("potbench: %d conns x %d ops (depth %d, %d%% reads, keyspace %d, GOMAXPROCS %d): %.0f ops/s, p50 %.0fµs p95 %.0fµs p99 %.0fµs, %d errors (%.1fs)\n",
-		*conns, *ops, *depth, *readPct, *keySpace, runtime.GOMAXPROCS(0), rate, pct(0.50), pct(0.95), pct(0.99), errors, wall)
+		*conns, *ops, *depth, *readPct, *keySpace, runtime.GOMAXPROCS(0), rate, pct(0.50), pct(0.95), pct(0.99), failed, wall)
 	if *p99Gate > 0 && pct(0.99) > *p99Gate {
 		fatal(fmt.Errorf("p99 %.0fµs exceeds gate %.0fµs", pct(0.99), *p99Gate))
 	}
 
 	if *benchPath != "" {
 		rec := harness.ServeRecord{
-			Timestamp:   time.Now().UTC().Format(time.RFC3339),
-			GitSHA:      gitSHA(),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
+			Provenance:  harness.NewProvenance(),
 			GoMaxProcs:  runtime.GOMAXPROCS(0),
 			Seed:        *seed,
 			Conns:       *conns,
@@ -222,17 +219,17 @@ func main() {
 			Cluster:     *clusterN,
 			Snapshot:    inProcess && !*latched,
 			Ops:         total,
-			Errors:      errors,
+			Errors:      failed,
 			WallSeconds: wall,
 			OpsPerSec:   rate,
 			P50us:       pct(0.50),
 			P95us:       pct(0.95),
 			P99us:       pct(0.99),
 		}
-		switch err := harness.AppendServeRecord(*benchPath, rec); {
+		switch err := harness.AppendRecord(*benchPath, rec); {
 		case err == nil:
 			fmt.Printf("appended trajectory record to %s\n", *benchPath)
-		case strings.Contains(err.Error(), harness.ErrDuplicateServeRecord.Error()):
+		case errors.Is(err, harness.ErrDuplicateRecord):
 			fmt.Fprintf(os.Stderr, "potbench: %v (not recording)\n", err)
 		default:
 			fatal(err)
@@ -247,20 +244,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *metricsOut)
 	}
-}
-
-// gitSHA identifies the working tree for trajectory records, with a "-dirty"
-// suffix when uncommitted changes are present; "" if git is unavailable.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	sha := strings.TrimSpace(string(out))
-	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(strings.TrimSpace(string(st))) > 0 {
-		sha += "-dirty"
-	}
-	return sha
 }
 
 func fatal(err error) {

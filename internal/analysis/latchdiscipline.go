@@ -7,7 +7,7 @@ import (
 )
 
 // LatchDiscipline enforces the two latch-protocol rules from pmem/latch.go
-// and objstore/multi.go:
+// and crashtest/multi.go:
 //
 //  1. Sorted acquisition: a set of slice-indexed locks (latch slots, shard
 //     indices) is acquired in ascending order, which in this codebase means

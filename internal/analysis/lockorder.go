@@ -18,7 +18,7 @@ import (
 //  2. Latches order before shard locks (see pmem/latch.go): acquiring a
 //     latch while a shard lock is held inverts the documented order and is
 //     flagged. The converse — taking shard locks under a latch — is the
-//     sanctioned idiom (objstore.Multi latches anchors, then opens a
+//     sanctioned idiom (crashtest.Multi latches anchors, then opens a
 //     sharded Tx).
 //  3. Direct sync.Mutex/RWMutex operations on sharded state (a mutex drawn
 //     from a slice, or a mutex field of a slice element) are only allowed

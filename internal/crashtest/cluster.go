@@ -2,15 +2,15 @@ package crashtest
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"potgo/internal/cluster"
 	"potgo/internal/lincheck"
 	"potgo/internal/nvmsim"
 	"potgo/internal/objstore"
-	"potgo/internal/obs"
+	"potgo/internal/pds"
 )
 
 // The cluster campaign kills a WHOLE NODE mid-replication — an armed
@@ -41,55 +41,6 @@ import (
 // stages a false-suspicion failover in which the deposed owner keeps
 // serving; the campaign then REQUIRES CheckCluster to reject the merged
 // logs (run under -expect-failure in CI).
-type ClusterOptions struct {
-	// Seed drives workload streams, kill-point sampling and policies.
-	Seed uint64 `json:"seed"`
-	// Nodes is the member count (>= 3 so a quorum survives one death).
-	Nodes int `json:"nodes"`
-	// Shards is each member's heap lock-shard count.
-	Shards int `json:"shards"`
-	// Workers is the number of concurrent routing clients.
-	Workers int `json:"workers"`
-	// OpsPerWorker bounds each worker's operation count per point.
-	OpsPerWorker int `json:"ops_per_worker"`
-	// Points is the number of kill points sampled (point 0 is always the
-	// unarmed baseline that also measures the victim's event span).
-	Points int `json:"points"`
-	// KeySpace is the key range [1, KeySpace] the workload churns.
-	KeySpace int `json:"key_space"`
-	// Policies rotate across kill points (the victim's power-cycle).
-	Policies []nvmsim.Kind `json:"-"`
-	// MutateSplitBrain seeds the stale-epoch-fence bug and stages the
-	// two-primaries scenario; the campaign then fails unless the verifier
-	// rejects the history.
-	MutateSplitBrain bool `json:"-"`
-	// Obs, when non-nil, receives campaign counters under
-	// "crashtest.cluster.".
-	Obs *obs.Registry `json:"-"`
-}
-
-// DefaultClusterOptions returns the CI smoke configuration.
-func DefaultClusterOptions() ClusterOptions {
-	return ClusterOptions{
-		Seed:         1,
-		Nodes:        3,
-		Shards:       2,
-		Workers:      3,
-		OpsPerWorker: 40,
-		Points:       6,
-		KeySpace:     32,
-		Policies:     []nvmsim.Kind{nvmsim.DropAll, nvmsim.KeepRandom, nvmsim.Torn},
-	}
-}
-
-// ClusterSummary reports one cluster crash campaign.
-type ClusterSummary struct {
-	Points    int    `json:"points"`
-	Fired     int    `json:"fired"`     // points where the armed kill actually hit
-	Completed int    `json:"completed"` // points that drained before the arm point
-	AckedOps  uint64 `json:"acked_ops"` // total acknowledged client writes
-	Span      uint64 `json:"event_span"`
-}
 
 // probeUIDBase tags post-failover probe writes; worker uids use the low
 // 48 bits only, so the spaces cannot collide.
@@ -103,7 +54,7 @@ func clusterWorkerUID(worker, op int) uint64 {
 // until every worker finishes or gives up on the dying segment. Errors are
 // forgiven once any member is dead — the machine died under the client —
 // and fatal otherwise.
-func runClusterWorkers(cl *cluster.Cluster, rec *lincheck.ClusterRecorder, opt ClusterOptions) error {
+func runClusterWorkers(cl *cluster.Cluster, rec *lincheck.ClusterRecorder, opt CampaignOptions) error {
 	anyDead := func() bool {
 		for _, m := range cl.Members {
 			if m.Node.Dead() {
@@ -203,81 +154,110 @@ func gatherEntries(members []*cluster.Member, total int) []lincheck.ClusterEntry
 	return out
 }
 
+// clusterWorld is one fresh N-node cluster whose victim member is killed
+// by the point's armed crash.
+type clusterWorld struct {
+	opt       CampaignOptions
+	cl        *cluster.Cluster
+	victimIdx int
+	rec       *lincheck.ClusterRecorder
+}
+
+func (w *clusterWorld) victim() *cluster.Member { return w.cl.Members[w.victimIdx] }
+
+func (w *clusterWorld) domain() *nvmsim.Domain { return w.victim().Sh.Heap().NV }
+
+func (w *clusterWorld) close() { w.cl.Close() }
+
+func (w *clusterWorld) run(bool) (bool, error) {
+	w.rec = lincheck.NewClusterRecorder()
+	err := runClusterWorkers(w.cl, w.rec, w.opt)
+	return w.victim().Node.Dead(), err
+}
+
+// verify fails over a killed victim (or quiesces a drained cluster) and
+// runs the three-layer protocol.
+func (w *clusterWorld) verify(pol nvmsim.Policy, fired bool, sum *CampaignSummary) error {
+	opt, cl, victim := w.opt, w.cl, w.victim()
+	survivors := make([]*cluster.Member, 0, opt.Nodes)
+	for i, m := range cl.Members {
+		if i != w.victimIdx {
+			survivors = append(survivors, m)
+		}
+	}
+	if fired {
+		// The kill hit mid-replication: fail over, then prove the moved
+		// segment accepts writes at the new epoch (the probes join the
+		// acknowledged history the verifier audits).
+		if err := cl.Failover(victim.Node.ID); err != nil {
+			return fmt.Errorf("failover: %w", err)
+		}
+		pc, err := cluster.DialCluster(cl.Addrs())
+		if err != nil {
+			return fmt.Errorf("probe dial: %w", err)
+		}
+		defer pc.Close()
+		for key := uint64(1); key <= uint64(opt.KeySpace) && key <= 4; key++ {
+			uid := probeUIDBase | key
+			p := w.rec.Begin(key, uid, false)
+			if _, err := pc.Put(key, uid); err != nil {
+				return fmt.Errorf("probe put %d after failover: %w", key, err)
+			}
+			w.rec.Acked(p)
+		}
+	} else {
+		// Nothing died: quiesce replication so the full-replication
+		// equality checks below are meaningful, and audit all members.
+		if err := cl.Sync(); err != nil {
+			return fmt.Errorf("sync: %w", err)
+		}
+		survivors = append(survivors, victim)
+	}
+	writes := w.rec.Writes()
+	sum.AckedOps += uint64(len(writes))
+
+	// Layer 1: acked-prefix linearizability over the merged logs.
+	entries := gatherEntries(survivors, opt.Nodes)
+	if err := lincheck.CheckCluster(writes, entries); err != nil {
+		return err
+	}
+	// Layer 2: replayed model == routed view == every survivor replica.
+	model := lincheck.ReplayCluster(entries)
+	if err := verifyClusterState(cl, survivors, model, opt); err != nil {
+		return err
+	}
+	// Layer 3: the victim's corpse recovers to a committed prefix.
+	if fired {
+		return verifyVictimLocal(victim, w.victimIdx, pol, opt)
+	}
+	return nil
+}
+
 // verifyClusterState checks layer 2: the replayed model against the routed
 // view, every survivor's local replica, and every survivor's KV journal.
-func verifyClusterState(cl *cluster.Cluster, survivors []*cluster.Member, model map[uint64]uint64, opt ClusterOptions) error {
+func verifyClusterState(cl *cluster.Cluster, survivors []*cluster.Member, model map[uint64]uint64, opt CampaignOptions) error {
 	c, err := cluster.DialCluster(cl.Addrs())
 	if err != nil {
 		return fmt.Errorf("verify dial: %w", err)
 	}
 	defer c.Close()
-	for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
-		val, ok, err := c.Get(key)
-		if err != nil {
-			return fmt.Errorf("routed get %d: %w", key, err)
-		}
-		want, wantOK := model[key]
-		if ok != wantOK || (ok && val != want) {
-			return fmt.Errorf("key %d: routed view (%d,%v), merged logs replay to (%d,%v)",
-				key, val, ok, want, wantOK)
-		}
+	scan := func() ([]pds.KV, error) { return c.Scan(0, opt.KeySpace+64) }
+	if err := checkModel(model, opt.KeySpace, c.Get, scan); err != nil {
+		return fmt.Errorf("routed view vs merged logs: %w", err)
 	}
-	scan, err := c.Scan(0, opt.KeySpace+64)
-	if err != nil {
-		return fmt.Errorf("routed scan: %w", err)
-	}
-	if len(scan) != len(model) {
-		return fmt.Errorf("routed scan returned %d pairs, merged logs hold %d", len(scan), len(model))
-	}
-	keys := make([]uint64, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for i, k := range keys {
-		if scan[i].Key != k || scan[i].Val != model[k] {
-			return fmt.Errorf("routed scan[%d] = (%d,%d), want (%d,%d)", i, scan[i].Key, scan[i].Val, k, model[k])
-		}
-	}
-
 	// Full replication: after catch-up every survivor's local replica and
 	// its durable journal agree with the merged-log model.
 	for _, m := range survivors {
-		for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
-			val, ok, err := m.Node.KV.Get(key)
-			if err != nil {
-				return fmt.Errorf("node %d local get %d: %w", m.Node.ID, key, err)
-			}
-			want, wantOK := model[key]
-			if ok != wantOK || (ok && val != want) {
-				return fmt.Errorf("node %d key %d: local replica (%d,%v), merged logs replay to (%d,%v)",
-					m.Node.ID, key, val, ok, want, wantOK)
-			}
+		if err := checkModel(model, opt.KeySpace, m.Node.KV.Get, nil); err != nil {
+			return fmt.Errorf("node %d local replica vs merged logs: %w", m.Node.ID, err)
 		}
-		replayed := make(map[uint64]uint64)
-		for i := 0; i < opt.Shards; i++ {
-			journal := m.Node.KV.Journal(i)
-			cnt, err := m.Node.KV.Counter(i)
-			if err != nil {
-				return fmt.Errorf("node %d shard %d counter: %w", m.Node.ID, i, err)
-			}
-			if cnt != uint64(len(journal)) {
-				return fmt.Errorf("node %d shard %d: quiesced counter %d != journaled %d",
-					m.Node.ID, i, cnt, len(journal))
-			}
-			for k, v := range objstore.ReplayKVJournal(journal, int(cnt)) {
-				replayed[k] = v
-			}
+		replayed, err := kvPrefixModel(m.Node.KV, m.Node.KV, opt.Shards, nil)
+		if err != nil {
+			return fmt.Errorf("node %d: %w", m.Node.ID, err)
 		}
-		if len(replayed) != len(model) {
-			return fmt.Errorf("node %d: journal replays to %d keys, merged logs to %d",
+		if !maps.Equal(replayed, model) {
+			return fmt.Errorf("node %d: journal replays to %d keys, merged logs to %d, contents differ",
 				m.Node.ID, len(replayed), len(model))
-		}
-		for k, v := range model {
-			if replayed[k] != v {
-				return fmt.Errorf("node %d key %d: journal replays to %d, merged logs to %d",
-					m.Node.ID, k, replayed[k], v)
-			}
 		}
 	}
 	return nil
@@ -286,7 +266,7 @@ func verifyClusterState(cl *cluster.Cluster, survivors []*cluster.Member, model 
 // verifyVictimLocal checks layer 3: power-cycle the victim's heap under
 // pol, reattach, and require each shard's recovered counter to name a
 // journal prefix that replays exactly to the recovered contents.
-func verifyVictimLocal(victim *cluster.Member, victimIdx int, pol nvmsim.Policy, opt ClusterOptions) error {
+func verifyVictimLocal(victim *cluster.Member, victimIdx int, pol nvmsim.Policy, opt CampaignOptions) error {
 	if _, err := victim.Sh.Crash(pol); err != nil {
 		return fmt.Errorf("victim crash: %w", err)
 	}
@@ -298,34 +278,15 @@ func verifyVictimLocal(victim *cluster.Member, victimIdx int, pol nvmsim.Policy,
 	if err != nil {
 		return fmt.Errorf("victim structure invariants: %w", err)
 	}
-	model := make(map[uint64]uint64)
-	for i := 0; i < opt.Shards; i++ {
-		journal := victim.Node.KV.Journal(i)
-		cnt, err := kv2.Counter(i)
-		if err != nil {
-			return fmt.Errorf("victim shard %d counter: %w", i, err)
-		}
-		if cnt > uint64(len(journal)) {
-			return fmt.Errorf("victim shard %d: recovered counter %d beyond journaled %d",
-				i, cnt, len(journal))
-		}
-		for k, v := range objstore.ReplayKVJournal(journal, int(cnt)) {
-			model[k] = v
-		}
+	model, err := kvPrefixModel(victim.Node.KV, kv2, opt.Shards, make([]uint64, opt.Shards))
+	if err != nil {
+		return fmt.Errorf("victim: %w", err)
 	}
 	if total != len(model) {
 		return fmt.Errorf("victim: %d keys recovered, committed prefixes replay to %d", total, len(model))
 	}
-	for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
-		val, ok, err := kv2.Get(key)
-		if err != nil {
-			return fmt.Errorf("victim get %d after recovery: %w", key, err)
-		}
-		want, wantOK := model[key]
-		if ok != wantOK || (ok && val != want) {
-			return fmt.Errorf("victim key %d: recovered (%d,%v), committed prefix says (%d,%v)",
-				key, val, ok, want, wantOK)
-		}
+	if err := checkModel(model, opt.KeySpace, kv2.Get, nil); err != nil {
+		return fmt.Errorf("victim after recovery: %w", err)
 	}
 	return nil
 }
@@ -335,140 +296,23 @@ func verifyVictimLocal(victim *cluster.Member, victimIdx int, pol nvmsim.Policy,
 // to measure the victim's event span), failover, and the three-layer
 // verification protocol. With MutateSplitBrain set it instead stages the
 // two-primaries scenario and fails unless the verifier rejects it.
-func RunCluster(opt ClusterOptions) (ClusterSummary, error) {
+func RunCluster(opt CampaignOptions) (CampaignSummary, error) {
 	if opt.Nodes < 3 {
-		return ClusterSummary{}, fmt.Errorf("crashtest: cluster campaign needs >= 3 nodes, got %d", opt.Nodes)
+		return CampaignSummary{}, fmt.Errorf("crashtest: cluster campaign needs >= 3 nodes, got %d", opt.Nodes)
 	}
-	if opt.Workers <= 0 || opt.Shards <= 0 || opt.OpsPerWorker <= 0 || opt.Points <= 0 {
-		return ClusterSummary{}, fmt.Errorf("crashtest: cluster options need positive workers/shards/ops/points")
-	}
-	if opt.KeySpace <= 0 {
-		opt.KeySpace = 32
-	}
-	if len(opt.Policies) == 0 {
-		opt.Policies = []nvmsim.Kind{nvmsim.DropAll}
+	if err := opt.validate("cluster"); err != nil {
+		return CampaignSummary{}, err
 	}
 	if opt.MutateSplitBrain {
 		return runClusterSplitBrain(opt)
 	}
-	sum := ClusterSummary{Points: opt.Points}
-
-	var bump func(name string, d uint64)
-	if opt.Obs != nil {
-		bump = func(name string, d uint64) { opt.Obs.Counter("crashtest.cluster." + name).Add(d) }
-	} else {
-		bump = func(string, uint64) {}
-	}
-
-	var span uint64
-	for point := 0; point < opt.Points; point++ {
-		victimIdx := point % opt.Nodes
+	return runSampled("cluster", opt, 0xcc, func(point int) (pointWorld, error) {
 		cl, err := cluster.NewLocal(opt.Nodes, opt.Shards, int64(mix64(opt.Seed^uint64(point)^0xc1)), nil)
 		if err != nil {
-			return sum, err
+			return nil, err
 		}
-		victim := cl.Members[victimIdx]
-		h := victim.Sh.Heap()
-
-		polKind := opt.Policies[point%len(opt.Policies)]
-		pol := nvmsim.Policy{Kind: polKind, Seed: mix64(opt.Seed ^ uint64(point) ^ 0xcc)}
-
-		startE := h.NV.Events()
-		armAt := uint64(0)
-		if point > 0 {
-			armAt = startE + 1 + mix64(opt.Seed^uint64(point))%span
-			h.NV.Arm(armAt)
-		}
-
-		rec := lincheck.NewClusterRecorder()
-		if err := runClusterWorkers(cl, rec, opt); err != nil {
-			cl.Close()
-			return sum, fmt.Errorf("point %d: %w", point, err)
-		}
-		if point == 0 {
-			span = h.NV.Events() - startE
-			sum.Span = span
-			if span == 0 {
-				cl.Close()
-				return sum, fmt.Errorf("crashtest: baseline run produced no events on the victim")
-			}
-		}
-		h.NV.Disarm() // an unreached arm point must not fire during verification
-
-		fired := victim.Node.Dead()
-		survivors := make([]*cluster.Member, 0, opt.Nodes)
-		for i, m := range cl.Members {
-			if i != victimIdx {
-				survivors = append(survivors, m)
-			}
-		}
-		if fired {
-			sum.Fired++
-			bump("fired", 1)
-			// The kill hit mid-replication: fail over, then prove the moved
-			// segment accepts writes at the new epoch (the probes join the
-			// acknowledged history the verifier audits).
-			if err := cl.Failover(victim.Node.ID); err != nil {
-				cl.Close()
-				return sum, fmt.Errorf("point %d: failover: %w", point, err)
-			}
-			pc, err := cluster.DialCluster(cl.Addrs())
-			if err != nil {
-				cl.Close()
-				return sum, fmt.Errorf("point %d: probe dial: %w", point, err)
-			}
-			probes := 0
-			for key := uint64(1); key <= uint64(opt.KeySpace) && probes < 4; key++ {
-				uid := probeUIDBase | key
-				p := rec.Begin(key, uid, false)
-				if _, err := pc.Put(key, uid); err != nil {
-					pc.Close()
-					cl.Close()
-					return sum, fmt.Errorf("point %d: probe put %d after failover: %w", point, key, err)
-				}
-				rec.Acked(p)
-				probes++
-			}
-			pc.Close()
-		} else {
-			sum.Completed++
-			bump("completed", 1)
-			// Nothing died: quiesce replication so the full-replication
-			// equality checks below are meaningful, and audit all members.
-			if err := cl.Sync(); err != nil {
-				cl.Close()
-				return sum, fmt.Errorf("point %d: sync: %w", point, err)
-			}
-			survivors = append(survivors, victim)
-		}
-		writes := rec.Writes()
-		sum.AckedOps += uint64(len(writes))
-
-		// Layer 1: acked-prefix linearizability over the merged logs.
-		entries := gatherEntries(survivors, opt.Nodes)
-		if err := lincheck.CheckCluster(writes, entries); err != nil {
-			cl.Close()
-			return sum, fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
-				point, armAt, polKind, fired, err)
-		}
-		// Layer 2: replayed model == routed view == every survivor replica.
-		model := lincheck.ReplayCluster(entries)
-		if err := verifyClusterState(cl, survivors, model, opt); err != nil {
-			cl.Close()
-			return sum, fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
-				point, armAt, polKind, fired, err)
-		}
-		// Layer 3: the victim's corpse recovers to a committed prefix.
-		if fired {
-			if err := verifyVictimLocal(victim, victimIdx, pol, opt); err != nil {
-				cl.Close()
-				return sum, fmt.Errorf("point %d (arm=%d, policy=%s): %w", point, armAt, polKind, err)
-			}
-		}
-		cl.Close()
-		bump("points", 1)
-	}
-	return sum, nil
+		return &clusterWorld{opt: opt, cl: cl, victimIdx: point % opt.Nodes}, nil
+	})
 }
 
 // runClusterSplitBrain stages the two-primaries scenario over the seeded
@@ -480,8 +324,8 @@ func RunCluster(opt ClusterOptions) (ClusterSummary, error) {
 // verifier (sender-behind-node applies, dual ownership). The campaign
 // returns the verifier's rejection as its own error, for -expect-failure
 // gates; a nil return means the bug slipped through.
-func runClusterSplitBrain(opt ClusterOptions) (ClusterSummary, error) {
-	sum := ClusterSummary{Points: 1}
+func runClusterSplitBrain(opt CampaignOptions) (CampaignSummary, error) {
+	sum := CampaignSummary{Points: 1}
 	cl, err := cluster.NewLocal(opt.Nodes, opt.Shards, int64(mix64(opt.Seed^0xb5)), nil)
 	if err != nil {
 		return sum, err

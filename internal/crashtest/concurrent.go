@@ -3,191 +3,85 @@ package crashtest
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"potgo/internal/nvmsim"
-	"potgo/internal/objstore"
-	"potgo/internal/obs"
 	"potgo/internal/pmem"
 )
 
-// The concurrent campaign crashes a multi-worker workload mid-flight and
-// proves recovery lands on a state consistent with the acknowledged
-// operations. The verification protocol leans on three facts the objstore
-// layer guarantees:
-//
-//  1. Each structure's volatile journal is appended inside the
-//     transaction, under the structure's latch, so journal order is commit
-//     order and at most ONE entry per structure (the last) can belong to a
-//     transaction that never committed.
-//  2. Each structure's persistent op counter commits atomically with the
-//     operation, so its recovered value c says exactly which journal
-//     prefix became durable: replay(journal[:c]) must equal the recovered
-//     contents.
-//  3. The domain poisons itself at the crash point, so no operation
-//     anywhere commits after the crash — an acknowledged operation was
-//     acknowledged before the crash and must therefore be inside the
-//     durable prefix: acked <= c <= len(journal).
-//
-// Transfers commit both halves in one multi-pool transaction, so a
-// transfer id must appear in both durable prefixes or in neither.
-type ConcurrentOptions struct {
-	// Seed drives the workload streams, the crash-point sampling and the
-	// seeded policies.
-	Seed uint64 `json:"seed"`
-	// Workers is the number of concurrent client goroutines.
-	Workers int `json:"workers"`
-	// Shards is the sharded heap's lock-shard count.
-	Shards int `json:"shards"`
-	// OpsPerWorker bounds each worker's operation count per run.
-	OpsPerWorker int `json:"ops_per_worker"`
-	// Points is the number of crash points sampled (run 0 is always the
-	// unarmed baseline that also measures the event span).
-	Points int `json:"points"`
-	// KeySpace is the key range [1, KeySpace] the workload churns.
-	KeySpace int `json:"key_space"`
-	// Policies rotate across crash points.
-	Policies []nvmsim.Kind `json:"-"`
-	// Obs, when non-nil, receives campaign counters under
-	// "crashtest.concurrent.".
-	Obs *obs.Registry `json:"-"`
+// The concurrent campaign crashes a multi-worker workload on a Multi store
+// mid-flight and proves recovery lands on a state consistent with the
+// acknowledged operations, through the journaled-counter protocol (see
+// verify.go) applied to each of the five structures. Transfers commit both
+// halves in one multi-pool transaction, so a transfer id must appear in
+// both durable prefixes or in neither.
+
+// concurrentWorld is one fresh world: sharded heap + Multi store over a
+// new store.
+type concurrentWorld struct {
+	opt   CampaignOptions
+	sh    *pmem.Sharded
+	m     *Multi
+	acked []uint64 // acknowledged effective ops per structure
 }
 
-// DefaultConcurrentOptions returns the CI smoke configuration.
-func DefaultConcurrentOptions() ConcurrentOptions {
-	return ConcurrentOptions{
-		Seed:         1,
-		Workers:      4,
-		Shards:       4,
-		OpsPerWorker: 60,
-		Points:       12,
-		KeySpace:     24,
-		Policies:     []nvmsim.Kind{nvmsim.DropAll, nvmsim.KeepRandom, nvmsim.Torn},
-	}
-}
+func (w *concurrentWorld) domain() *nvmsim.Domain { return w.sh.Heap().NV }
 
-// ConcurrentSummary reports one concurrent campaign.
-type ConcurrentSummary struct {
-	Points    int    `json:"points"`
-	Fired     int    `json:"fired"`     // runs where the armed crash actually hit
-	Completed int    `json:"completed"` // runs that drained before the arm point
-	AckedOps  uint64 `json:"acked_ops"` // total acknowledged effective ops
-	Span      uint64 `json:"event_span"`
-}
+func (w *concurrentWorld) close() {}
 
-// ccWorld is one fresh world: sharded heap + Multi store over a new store.
-type ccWorld struct {
-	sh *pmem.Sharded
-	m  *objstore.Multi
-}
-
-func buildConcurrentWorld(opt ConcurrentOptions) (*ccWorld, error) {
-	sh, err := pmem.NewSharded(pmem.NewStore(), opt.Shards, int64(opt.Seed))
-	if err != nil {
-		return nil, err
-	}
-	m, err := objstore.CreateMulti(sh, "cc")
-	if err != nil {
-		return nil, err
-	}
-	return &ccWorld{sh: sh, m: m}, nil
-}
-
-// runWorkers drives the workload until every worker finishes or the domain
-// crashes. It returns the number of primary crash signals seen (0 or 1)
-// and the per-structure acknowledged-op counts.
-func runWorkers(w *ccWorld, opt ConcurrentOptions) (fired int, acked []uint64, err error) {
-	nk := len(objstore.Kinds)
-	ackedA := make([]uint64, nk)
-	var primary uint64
-	errs := make([]error, opt.Workers)
-
-	var wg sync.WaitGroup
-	for wi := 0; wi < opt.Workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			defer func() {
-				r := recover()
-				if r == nil {
+func (w *concurrentWorld) run(bool) (bool, error) {
+	nk := len(Kinds)
+	w.acked = make([]uint64, nk)
+	return runWorkers(w.domain(), w.opt.Workers, func(wi int, fail func(string, error) bool) {
+		rng := rand.New(rand.NewSource(int64(mix64(w.opt.Seed ^ uint64(wi+1)))))
+		for i := 0; i < w.opt.OpsPerWorker; i++ {
+			kind := rng.Intn(nk)
+			key := uint64(rng.Intn(w.opt.KeySpace) + 1)
+			switch rng.Intn(5) {
+			case 0, 1, 2:
+				did, err := w.m.Add(kind, key)
+				if fail("Add", err) {
 					return
 				}
-				cs, ok := nvmsim.AsCrashSignal(r)
-				if !ok {
-					panic(r)
+				if did {
+					atomic.AddUint64(&w.acked[kind], 1)
 				}
-				if !cs.Poisoned {
-					atomic.AddUint64(&primary, 1)
+			case 3:
+				did, err := w.m.Remove(kind, key)
+				if fail("Remove", err) {
+					return
 				}
-			}()
-			// A worker that hits an error after the crash fired is a
-			// casualty, not a failure: the machine died under it (for
-			// instance, Begin refuses a pool whose mid-commit transaction
-			// will only be cleared by the power cycle).
-			fail := func(what string, err error) bool {
-				if err == nil {
-					return false
+				if did {
+					atomic.AddUint64(&w.acked[kind], 1)
 				}
-				if !w.sh.Heap().NV.Poisoned() {
-					errs[wi] = fmt.Errorf("worker %d %s: %w", wi, what, err)
+			case 4:
+				to := rng.Intn(nk)
+				if to == kind {
+					to = (to + 1) % nk
 				}
-				return true
-			}
-			rng := rand.New(rand.NewSource(int64(mix64(opt.Seed ^ uint64(wi+1)))))
-			for i := 0; i < opt.OpsPerWorker; i++ {
-				kind := rng.Intn(nk)
-				key := uint64(rng.Intn(opt.KeySpace) + 1)
-				switch rng.Intn(5) {
-				case 0, 1, 2:
-					did, err := w.m.Add(kind, key)
-					if fail("Add", err) {
-						return
-					}
-					if did {
-						atomic.AddUint64(&ackedA[kind], 1)
-					}
-				case 3:
-					did, err := w.m.Remove(kind, key)
-					if fail("Remove", err) {
-						return
-					}
-					if did {
-						atomic.AddUint64(&ackedA[kind], 1)
-					}
-				case 4:
-					to := rng.Intn(nk)
-					if to == kind {
-						to = (to + 1) % nk
-					}
-					did, err := w.m.Transfer(kind, to, key)
-					if fail("Transfer", err) {
-						return
-					}
-					if did {
-						atomic.AddUint64(&ackedA[kind], 1)
-						atomic.AddUint64(&ackedA[to], 1)
-					}
+				did, err := w.m.Transfer(kind, to, key)
+				if fail("Transfer", err) {
+					return
+				}
+				if did {
+					atomic.AddUint64(&w.acked[kind], 1)
+					atomic.AddUint64(&w.acked[to], 1)
 				}
 			}
-		}(wi)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return 0, nil, e
 		}
-	}
-	return int(primary), ackedA, nil
+	})
 }
 
-// verifyConcurrent power-cycles the world under pol, reattaches, and runs
-// the full acked-prefix consistency protocol.
-func verifyConcurrent(w *ccWorld, acked []uint64, pol nvmsim.Policy, opt ConcurrentOptions) error {
+// verify power-cycles the world under pol, reattaches, and runs the
+// journaled-counter protocol on every structure.
+func (w *concurrentWorld) verify(pol nvmsim.Policy, _ bool, sum *CampaignSummary) error {
+	for _, a := range w.acked {
+		sum.AckedOps += a
+	}
 	if _, err := w.sh.Crash(pol); err != nil {
 		return fmt.Errorf("crash: %w", err)
 	}
-	m2, err := objstore.OpenMulti(w.sh, "cc")
+	m2, err := OpenMulti(w.sh, "cc")
 	if err != nil {
 		return fmt.Errorf("reattach: %w", err)
 	}
@@ -201,36 +95,35 @@ func verifyConcurrent(w *ccWorld, acked []uint64, pol nvmsim.Policy, opt Concurr
 
 	outIDs := make(map[uint64]bool)
 	inIDs := make(map[uint64]bool)
-	for kind := range objstore.Kinds {
-		journal := w.m.Journal(kind)
+	for kind, name := range Kinds {
 		c, err := m2.Counter(kind)
 		if err != nil {
 			return err
 		}
-		if c < acked[kind] || c > uint64(len(journal)) {
-			return fmt.Errorf("%s: recovered counter %d outside [acked=%d, journaled=%d]",
-				objstore.Kinds[kind], c, acked[kind], len(journal))
+		prefix, err := journaledPrefix(w.m.Journal(kind), c, w.acked[kind])
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		model := objstore.ReplayJournal(journal, int(c))
+		model := ReplayJournal(prefix, len(prefix))
 		if counts[kind] != len(model) {
 			return fmt.Errorf("%s: %d keys recovered, committed prefix replays to %d",
-				objstore.Kinds[kind], counts[kind], len(model))
+				name, counts[kind], len(model))
 		}
-		for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
+		for key := uint64(1); key <= uint64(w.opt.KeySpace); key++ {
 			has, err := m2.Has(kind, key)
 			if err != nil {
 				return err
 			}
 			if has != model[key] {
 				return fmt.Errorf("%s key %d: present=%v after recovery, committed prefix says %v",
-					objstore.Kinds[kind], key, has, model[key])
+					name, key, has, model[key])
 			}
 		}
-		for _, e := range journal[:c] {
+		for _, e := range prefix {
 			switch e.Op {
-			case objstore.OpXferOut:
+			case OpXferOut:
 				outIDs[e.XferID] = true
-			case objstore.OpXferIn:
+			case OpXferIn:
 				inIDs[e.XferID] = true
 			}
 		}
@@ -251,83 +144,22 @@ func verifyConcurrent(w *ccWorld, acked []uint64, pol nvmsim.Policy, opt Concurr
 }
 
 // RunConcurrent runs the concurrent crash campaign: a fresh world per
-// point, an armed crash mid-workload (run 0 stays unarmed to measure the
+// point, an armed crash mid-workload (point 0 stays unarmed to measure the
 // event span and prove the quiescent store survives any policy), and the
 // full verification protocol after every power cycle.
-func RunConcurrent(opt ConcurrentOptions) (ConcurrentSummary, error) {
-	if opt.Workers <= 0 || opt.Shards <= 0 || opt.OpsPerWorker <= 0 || opt.Points <= 0 {
-		return ConcurrentSummary{}, fmt.Errorf("crashtest: concurrent options need positive workers/shards/ops/points")
+func RunConcurrent(opt CampaignOptions) (CampaignSummary, error) {
+	if err := opt.validate("concurrent"); err != nil {
+		return CampaignSummary{}, err
 	}
-	if opt.KeySpace <= 0 {
-		opt.KeySpace = 24
-	}
-	if len(opt.Policies) == 0 {
-		opt.Policies = []nvmsim.Kind{nvmsim.DropAll}
-	}
-	sum := ConcurrentSummary{Points: opt.Points}
-
-	var bump func(name string, d uint64)
-	if opt.Obs != nil {
-		bump = func(name string, d uint64) { opt.Obs.Counter("crashtest.concurrent." + name).Add(d) }
-	} else {
-		bump = func(string, uint64) {}
-	}
-
-	var startE, endE uint64
-	for point := 0; point < opt.Points; point++ {
-		w, err := buildConcurrentWorld(opt)
+	return runSampled("concurrent", opt, 0xcc, func(int) (pointWorld, error) {
+		sh, err := pmem.NewSharded(pmem.NewStore(), opt.Shards, int64(opt.Seed))
 		if err != nil {
-			return sum, err
+			return nil, err
 		}
-		h := w.sh.Heap()
-
-		polKind := opt.Policies[point%len(opt.Policies)]
-		polSeed := mix64(opt.Seed ^ uint64(point) ^ 0xcc)
-		pol := nvmsim.Policy{Kind: polKind, Seed: polSeed}
-
-		armAt := uint64(0)
-		if point == 0 {
-			startE = h.NV.Events()
-		} else {
-			span := endE - startE
-			if span == 0 {
-				span = 1
-			}
-			armAt = startE + 1 + mix64(opt.Seed^uint64(point))%span
-			h.NV.Arm(armAt)
-		}
-
-		fired, acked, err := runWorkers(w, opt)
+		m, err := CreateMulti(sh, "cc")
 		if err != nil {
-			return sum, fmt.Errorf("point %d: %w", point, err)
+			return nil, err
 		}
-		if point == 0 {
-			endE = h.NV.Events()
-			sum.Span = endE - startE
-			if sum.Span == 0 {
-				return sum, fmt.Errorf("crashtest: baseline run produced no persistence events")
-			}
-		}
-		h.NV.Disarm() // an unreached arm point must not fire during verification
-		if fired > 1 {
-			return sum, fmt.Errorf("point %d: %d primary crash signals, want at most 1", point, fired)
-		}
-		if fired == 1 {
-			sum.Fired++
-			bump("fired", 1)
-		} else {
-			sum.Completed++
-			bump("completed", 1)
-		}
-		for _, a := range acked {
-			sum.AckedOps += a
-		}
-
-		if err := verifyConcurrent(w, acked, pol, opt); err != nil {
-			return sum, fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
-				point, armAt, polKind, fired == 1, err)
-		}
-		bump("points", 1)
-	}
-	return sum, nil
+		return &concurrentWorld{opt: opt, sh: sh, m: m}, nil
+	})
 }

@@ -181,54 +181,45 @@ func buildWorld(tg Target, opt Options) (*vm.AddressSpace, *pmem.Store, *pmem.He
 	return as, store, h, inst, nil
 }
 
-// armRun executes fn with a crash armed at the given event, converting the
-// CrashSignal panic into a normal return. Reaching the end of fn without
-// crashing (the point lies past the run's events) is legal.
-func armRun(h *pmem.Heap, at uint64, fn func() error) (crashed bool, err error) {
-	h.NV.Arm(at)
-	defer h.NV.Disarm()
+// catchCrash runs fn, converting the CrashSignal panic of an armed crash
+// into crashed=true. Reaching the end of fn without crashing (the arm
+// point lies past the run's events) is legal.
+func catchCrash(fn func() error) (crashed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := nvmsim.AsCrashSignal(r); !ok {
 				panic(r)
 			}
-			crashed = true
-			err = nil
+			crashed, err = true, nil
 		}
 	}()
 	return false, fn()
 }
 
-func policyFor(kind nvmsim.Kind, seed uint64) nvmsim.Policy {
-	switch kind {
-	case nvmsim.KeepRandom:
-		return nvmsim.KeepRandomPolicy(seed)
-	case nvmsim.Torn:
-		return nvmsim.TornPolicy(seed)
-	default:
-		return nvmsim.DropAllPolicy()
-	}
-}
-
 // runCase builds a world, crashes it just before the given event under pol,
 // recovers on a fresh heap and verifies. A non-nil *Failure is a
 // crash-consistency violation; a non-nil error is an engine/world problem.
-func runCase(tg Target, opt Options, event uint64, pol nvmsim.Policy) (*Failure, error) {
+// The crash report names the lines the adversary dropped or tore, which
+// minimization heals one at a time.
+func runCase(tg Target, opt Options, event uint64, pol nvmsim.Policy) (*Failure, nvmsim.Report, error) {
 	as, store, h, inst, err := buildWorld(tg, opt)
 	if err != nil {
-		return nil, err
+		return nil, nvmsim.Report{}, err
 	}
-	if _, err := armRun(h, event, func() error { return inst.Run(opt.Ops) }); err != nil {
-		return nil, fmt.Errorf("crashtest: %s workload: %w", tg.Name(), err)
+	h.NV.Arm(event)
+	_, err = catchCrash(func() error { return inst.Run(opt.Ops) })
+	h.NV.Disarm()
+	if err != nil {
+		return nil, nvmsim.Report{}, fmt.Errorf("crashtest: %s workload: %w", tg.Name(), err)
 	}
 	rep, err := h.Crash(pol)
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
 
 	h2, err := pmem.NewHeapDiscard(as, store)
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
 	verr := func() error {
 		inst2, err := tg.Attach(h2)
@@ -238,7 +229,7 @@ func runCase(tg Target, opt Options, event uint64, pol nvmsim.Policy) (*Failure,
 		return inst2.Check(opt.Ops)
 	}()
 	if verr == nil {
-		return nil, nil
+		return nil, rep, nil
 	}
 	return &Failure{
 		Target:  tg.Name(),
@@ -248,21 +239,7 @@ func runCase(tg Target, opt Options, event uint64, pol nvmsim.Policy) (*Failure,
 		Kept:    rep.KeptString(),
 		Dropped: len(rep.Dropped),
 		Err:     verr.Error(),
-	}, nil
-}
-
-// reportOf re-runs a case purely for its crash report; minimization needs
-// the dropped-line identities, which runCase doesn't retain.
-func reportOf(tg Target, opt Options, event uint64, pol nvmsim.Policy) (nvmsim.Report, error) {
-	as, store, h, inst, err := buildWorld(tg, opt)
-	_, _ = as, store
-	if err != nil {
-		return nvmsim.Report{}, err
-	}
-	if _, err := armRun(h, event, func() error { return inst.Run(opt.Ops) }); err != nil {
-		return nvmsim.Report{}, err
-	}
-	return h.Crash(pol)
+	}, rep, nil
 }
 
 // minimizeLimit bounds the resimulations one failure's minimization may
@@ -296,7 +273,7 @@ func minimize(tg Target, opt Options, event uint64, rep nvmsim.Report) []string 
 	var essential []string
 	for _, c := range cands {
 		keep[c.ln] = 0xFF
-		fail, err := runCase(tg, opt, event, nvmsim.ExplicitPolicy(keep))
+		fail, _, err := runCase(tg, opt, event, nvmsim.ExplicitPolicy(keep))
 		if err != nil || fail == nil {
 			// Healing this line repaired recovery: its damage is part of
 			// the counterexample.
@@ -343,13 +320,11 @@ func RunTarget(tg Target, opt Options) (Summary, error) {
 	opt.Obs.Counter("crashtest.events_spanned").Add(span)
 	opt.Obs.Counter("crashtest.points_selected").Add(uint64(len(points)))
 	opt.Obs.Counter("crashtest.cases_planned").Add(uint64(len(points) * len(opt.Policies)))
-	defer func() {
-		opt.Obs.Counter("crashtest.targets_completed").Inc()
-	}()
+	defer opt.Obs.Counter("crashtest.targets_completed").Inc()
 	for _, e := range points {
 		for _, kind := range opt.Policies {
-			pol := policyFor(kind, opt.Seed^e)
-			fail, err := runCase(tg, opt, e, pol)
+			pol := nvmsim.Policy{Kind: kind, Seed: opt.Seed ^ e}
+			fail, rep, err := runCase(tg, opt, e, pol)
 			if err != nil {
 				return sum, err
 			}
@@ -360,9 +335,7 @@ func RunTarget(tg Target, opt Options) (Summary, error) {
 			}
 			opt.Obs.Counter("crashtest.failures").Inc()
 			if opt.Minimize {
-				if rep, err := reportOf(tg, opt, e, pol); err == nil {
-					fail.MinLost = minimize(tg, opt, e, rep)
-				}
+				fail.MinLost = minimize(tg, opt, e, rep)
 			}
 			sum.Failures = append(sum.Failures, *fail)
 			if len(sum.Failures) >= opt.MaxFailures {
@@ -403,7 +376,7 @@ func pickPoints(base, span uint64, opt Options) ([]uint64, bool) {
 // error, nil if the case now passes. Options must match the recording
 // campaign's (seed, ops, mutation) for the replay to be faithful.
 func Replay(tg Target, opt Options, event uint64, keep map[nvmsim.Line]byte) error {
-	fail, err := runCase(tg, opt, event, nvmsim.ExplicitPolicy(keep))
+	fail, _, err := runCase(tg, opt, event, nvmsim.ExplicitPolicy(keep))
 	if err != nil {
 		return err
 	}

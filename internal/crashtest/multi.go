@@ -1,4 +1,4 @@
-package objstore
+package crashtest
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"potgo/internal/oid"
-	"potgo/internal/pds"
 	"potgo/internal/pmem"
 )
 
@@ -38,9 +37,10 @@ type Entry struct {
 // its own persistent op counter, fronted by per-structure latches so
 // operations on different structures run (and commit) in parallel while
 // operations on one structure serialize. It is the subject of the
-// linearizability stress harness and the concurrent crash campaign: the
+// concurrent crash campaign and the linearizability stress test: the
 // counters and journals let a verifier reconstruct exactly which operations
-// became durable.
+// became durable. Values are not part of its contract (bplus stores
+// val=key).
 type Multi struct {
 	sh      *pmem.Sharded
 	latches *pmem.LatchTable
@@ -54,53 +54,21 @@ type mstruct struct {
 	pool    *pmem.Pool
 	anchor  oid.OID // latch identity for the whole structure
 	counter oid.OID
-	ops     mops
+	ops     structOps
 
 	mu      sync.Mutex // guards journal (latch already serializes writers; Verify reads after a crash)
 	journal []Entry
 }
 
-// mops adapts one pds structure to the keyed-set workload (values are not
-// part of the Multi contract; bplus stores val=key).
-type mops interface {
-	contains(c pds.Ctx, key uint64) (bool, error)
-	insert(c pds.Ctx, key uint64) error
-	remove(c pds.Ctx, key uint64) error
-	check(c pds.Ctx) (int, error)
-}
-
-const (
-	multiPoolBytes = 1 << 20
-	multiLogBytes  = 128 * 1024
-)
-
 func multiPoolName(prefix, kind string) string { return prefix + "-" + kind }
 
-func multiBind(sh *pmem.Sharded, p *pmem.Pool, kind string, s *mstruct) error {
-	root, err := sh.Heap().Root(p, 16)
+func (s *mstruct) bind(h *pmem.Heap, p *pmem.Pool, kind string) error {
+	ops, root, err := bindStructure(h, p, kind)
 	if err != nil {
 		return err
 	}
-	anchor := pds.NewCell(sh.Heap(), root.FieldAt(0))
-	var ops mops
-	switch kind {
-	case "list":
-		ops = mlist{pds.NewList(anchor)}
-	case "bst":
-		ops = mbst{pds.NewBST(anchor)}
-	case "rbt":
-		ops = mrbt{pds.NewRBT(anchor)}
-	case "btree":
-		ops = mbtree{pds.NewBTree(anchor)}
-	case "bplus":
-		ops = mbplus{pds.NewBPlus(anchor)}
-	default:
-		return fmt.Errorf("objstore: unknown structure kind %q", kind)
-	}
-	s.pool = p
-	s.anchor = root.FieldAt(0)
-	s.counter = root.FieldAt(8)
-	s.ops = ops
+	s.pool, s.ops = p, ops
+	s.anchor, s.counter = root.FieldAt(0), root.FieldAt(8)
 	return nil
 }
 
@@ -108,11 +76,11 @@ func multiBind(sh *pmem.Sharded, p *pmem.Pool, kind string, s *mstruct) error {
 func CreateMulti(sh *pmem.Sharded, prefix string) (*Multi, error) {
 	m := &Multi{sh: sh, latches: pmem.NewLatchTable(64)}
 	for i, kind := range Kinds {
-		p, err := sh.CreateSized(multiPoolName(prefix, kind), multiPoolBytes, multiLogBytes)
+		p, err := sh.CreateSized(multiPoolName(prefix, kind), 1<<20, 128*1024)
 		if err != nil {
 			return nil, err
 		}
-		if err := multiBind(sh, p, kind, &m.structs[i]); err != nil {
+		if err := m.structs[i].bind(sh.Heap(), p, kind); err != nil {
 			return nil, err
 		}
 	}
@@ -138,7 +106,7 @@ func OpenMulti(sh *pmem.Sharded, prefix string) (*Multi, error) {
 		}
 	}
 	for i, kind := range Kinds {
-		if err := multiBind(sh, pools[i], kind, &m.structs[i]); err != nil {
+		if err := m.structs[i].bind(sh.Heap(), pools[i], kind); err != nil {
 			return nil, err
 		}
 	}
@@ -149,6 +117,22 @@ func OpenMulti(sh *pmem.Sharded, prefix string) (*Multi, error) {
 func (m *Multi) Sharded() *pmem.Sharded { return m.sh }
 
 func (m *Multi) at(kind int) *mstruct { return &m.structs[kind] }
+
+// ctx returns a fresh structure context for s, bound to t (nil for reads).
+func (m *Multi) ctx(s *mstruct, t *pmem.Tx) *txCtx {
+	c := &txCtx{h: m.sh.Heap(), p: s.pool}
+	c.bind(t)
+	return c
+}
+
+// bump advances a structure's persistent op counter inside the transaction.
+func (m *Multi) bump(ctx *txCtx, s *mstruct) error {
+	c, err := load64(m.sh.Heap(), s.counter)
+	if err != nil {
+		return err
+	}
+	return ctx.storeCounter(s.counter, c+1)
+}
 
 func (s *mstruct) appendEntry(e Entry) {
 	s.mu.Lock()
@@ -180,7 +164,7 @@ func (m *Multi) Counter(kind int) (uint64, error) {
 	var c uint64
 	err := m.sh.View([]oid.PoolID{s.pool.ID()}, func() error {
 		var cerr error
-		c, cerr = counterValue(m.sh.Heap(), s.counter)
+		c, cerr = load64(m.sh.Heap(), s.counter)
 		return cerr
 	})
 	return c, err
@@ -193,9 +177,8 @@ func (m *Multi) Has(kind int, key uint64) (bool, error) {
 	defer m.latches.RLock(s.anchor)()
 	var present bool
 	err := m.sh.View([]oid.PoolID{s.pool.ID()}, func() error {
-		ctx := &txCtx{h: m.sh.Heap(), alloc: s.pool}
 		var cerr error
-		present, cerr = s.ops.contains(ctx, key)
+		present, _, cerr = s.ops.get(m.ctx(s, nil), key)
 		return cerr
 	})
 	return present, err
@@ -206,56 +189,43 @@ func (m *Multi) Has(kind int, key uint64) (bool, error) {
 // journal append, commit — runs under the structure's write latch, so
 // journal order is commit order.
 func (m *Multi) Add(kind int, key uint64) (bool, error) {
+	return m.update(kind, key, true)
+}
+
+// Remove deletes key, reporting whether it was present.
+func (m *Multi) Remove(kind int, key uint64) (bool, error) {
+	return m.update(kind, key, false)
+}
+
+func (m *Multi) update(kind int, key uint64, add bool) (bool, error) {
 	s := m.at(kind)
 	defer m.latches.Lock(s.anchor)()
 	did := false
 	err := m.sh.Tx(s.pool, nil, func(t *pmem.Tx) error {
-		ctx := &txCtx{h: m.sh.Heap(), alloc: s.pool}
-		ctx.bind(t)
-		present, err := s.ops.contains(ctx, key)
-		if err != nil || present {
+		ctx := m.ctx(s, t)
+		present, _, err := s.ops.get(ctx, key)
+		if err != nil || present == add {
 			return err
 		}
-		if err := s.ops.insert(ctx, key); err != nil {
+		op := OpRemove
+		if add {
+			op = OpAdd
+			err = s.ops.insert(ctx, key, key)
+		} else {
+			err = s.ops.remove(ctx, key)
+		}
+		if err != nil {
 			return err
 		}
-		if err := bumpCounter(ctx, s.counter); err != nil {
+		if err := m.bump(ctx, s); err != nil {
 			return err
 		}
-		s.appendEntry(Entry{Op: OpAdd, Key: key})
+		s.appendEntry(Entry{Op: op, Key: key})
 		did = true
 		return nil
 	})
 	if err != nil && did {
 		s.popEntry() // the transaction aborted cleanly; the entry never committed
-	}
-	return did && err == nil, err
-}
-
-// Remove deletes key, reporting whether it was present.
-func (m *Multi) Remove(kind int, key uint64) (bool, error) {
-	s := m.at(kind)
-	defer m.latches.Lock(s.anchor)()
-	did := false
-	err := m.sh.Tx(s.pool, nil, func(t *pmem.Tx) error {
-		ctx := &txCtx{h: m.sh.Heap(), alloc: s.pool}
-		ctx.bind(t)
-		present, err := s.ops.contains(ctx, key)
-		if err != nil || !present {
-			return err
-		}
-		if err := s.ops.remove(ctx, key); err != nil {
-			return err
-		}
-		if err := bumpCounter(ctx, s.counter); err != nil {
-			return err
-		}
-		s.appendEntry(Entry{Op: OpRemove, Key: key})
-		did = true
-		return nil
-	})
-	if err != nil && did {
-		s.popEntry()
 	}
 	return did && err == nil, err
 }
@@ -269,35 +239,32 @@ func (m *Multi) Remove(kind int, key uint64) (bool, error) {
 // then both shards through the heap's sorted-shard order — no cycles.
 func (m *Multi) Transfer(from, to int, key uint64) (bool, error) {
 	if from == to {
-		return false, fmt.Errorf("objstore: transfer from structure %d to itself", from)
+		return false, fmt.Errorf("crashtest: transfer from structure %d to itself", from)
 	}
 	sf, st := m.at(from), m.at(to)
 	defer m.latches.Lock(sf.anchor, st.anchor)()
 	id := atomic.AddUint64(&m.xferID, 1)
 	did := false
 	err := m.sh.Tx(sf.pool, []oid.PoolID{st.pool.ID()}, func(t *pmem.Tx) error {
-		fctx := &txCtx{h: m.sh.Heap(), alloc: sf.pool}
-		fctx.bind(t)
-		tctx := &txCtx{h: m.sh.Heap(), alloc: st.pool}
-		tctx.bind(t)
-		inFrom, err := sf.ops.contains(fctx, key)
+		fctx, tctx := m.ctx(sf, t), m.ctx(st, t)
+		inFrom, _, err := sf.ops.get(fctx, key)
 		if err != nil {
 			return err
 		}
-		inTo, err := st.ops.contains(tctx, key)
+		inTo, _, err := st.ops.get(tctx, key)
 		if err != nil || !inFrom || inTo {
 			return err
 		}
 		if err := sf.ops.remove(fctx, key); err != nil {
 			return err
 		}
-		if err := st.ops.insert(tctx, key); err != nil {
+		if err := st.ops.insert(tctx, key, key); err != nil {
 			return err
 		}
-		if err := bumpCounter(fctx, sf.counter); err != nil {
+		if err := m.bump(fctx, sf); err != nil {
 			return err
 		}
-		if err := bumpCounter(tctx, st.counter); err != nil {
+		if err := m.bump(tctx, st); err != nil {
 			return err
 		}
 		sf.appendEntry(Entry{Op: OpXferOut, Key: key, XferID: id})
@@ -320,8 +287,7 @@ func (m *Multi) Check() ([5]int, error) {
 		s := m.at(i)
 		unlatch := m.latches.RLock(s.anchor)
 		err := m.sh.View([]oid.PoolID{s.pool.ID()}, func() error {
-			ctx := &txCtx{h: m.sh.Heap(), alloc: s.pool}
-			n, cerr := s.ops.check(ctx)
+			n, cerr := s.ops.check(m.ctx(s, nil))
 			counts[i] = n
 			return cerr
 		})
@@ -364,84 +330,3 @@ func ReplayJournal(journal []Entry, n int) map[uint64]bool {
 	}
 	return set
 }
-
-// --- structure adapters ---
-
-type mlist struct{ l *pds.List }
-
-func (a mlist) insert(c pds.Ctx, k uint64) error { return a.l.Insert(c, k) }
-func (a mlist) remove(c pds.Ctx, k uint64) error { _, err := a.l.Remove(c, k); return err }
-func (a mlist) contains(c pds.Ctx, k uint64) (bool, error) {
-	o, err := a.l.Find(c, k)
-	return o != oid.Null, err
-}
-func (a mlist) check(c pds.Ctx) (int, error) {
-	keys, err := a.l.Keys(c)
-	if err != nil {
-		return 0, err
-	}
-	seen := make(map[uint64]bool, len(keys))
-	for _, k := range keys {
-		if seen[k] {
-			return 0, fmt.Errorf("list: duplicate key %d", k)
-		}
-		seen[k] = true
-	}
-	return len(keys), nil
-}
-
-type mbst struct{ t *pds.BST }
-
-func (a mbst) insert(c pds.Ctx, k uint64) error { return a.t.Insert(c, k) }
-func (a mbst) remove(c pds.Ctx, k uint64) error { _, err := a.t.Remove(c, k); return err }
-func (a mbst) contains(c pds.Ctx, k uint64) (bool, error) {
-	o, err := a.t.Find(c, k)
-	return o != oid.Null, err
-}
-func (a mbst) check(c pds.Ctx) (int, error) {
-	keys, err := a.t.InOrder(c)
-	if err != nil {
-		return 0, err
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			return 0, fmt.Errorf("bst: in-order not strictly increasing at %d", i)
-		}
-	}
-	return len(keys), nil
-}
-
-type mrbt struct{ t *pds.RBT }
-
-func (a mrbt) insert(c pds.Ctx, k uint64) error { return a.t.Insert(c, k) }
-func (a mrbt) remove(c pds.Ctx, k uint64) error { _, err := a.t.Remove(c, k); return err }
-func (a mrbt) contains(c pds.Ctx, k uint64) (bool, error) {
-	o, err := a.t.Find(c, k)
-	return o != oid.Null, err
-}
-func (a mrbt) check(c pds.Ctx) (int, error) {
-	if _, err := a.t.CheckInvariants(c); err != nil {
-		return 0, err
-	}
-	keys, err := a.t.InOrder(c)
-	return len(keys), err
-}
-
-type mbtree struct{ t *pds.BTree }
-
-func (a mbtree) insert(c pds.Ctx, k uint64) error { return a.t.Insert(c, k) }
-func (a mbtree) remove(c pds.Ctx, k uint64) error { _, err := a.t.Remove(c, k); return err }
-func (a mbtree) contains(c pds.Ctx, k uint64) (bool, error) {
-	return a.t.Find(c, k)
-}
-func (a mbtree) check(c pds.Ctx) (int, error) { return a.t.CheckInvariants(c) }
-
-type mbplus struct{ t *pds.BPlus }
-
-func (a mbplus) insert(c pds.Ctx, k uint64) error { return a.t.Insert(c, k, k) }
-func (a mbplus) remove(c pds.Ctx, k uint64) error { _, err := a.t.Remove(c, k); return err }
-func (a mbplus) contains(c pds.Ctx, k uint64) (bool, error) {
-	_, ok, err := a.t.Find(c, k)
-	return ok, err
-}
-func (a mbplus) check(c pds.Ctx) (int, error) { return a.t.CheckInvariants(c) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -22,15 +21,10 @@ import (
 // snapshot mirror (a dangling version reference would surface as a wrong
 // value or a failed walk).
 //
-// The verification protocol is the journaled-counter protocol of the
-// concurrent campaign, carried by the KV store: every Put/Delete appends
-// to its shard's volatile journal inside the transaction (journal order is
-// commit order; at most the last entry per shard can be uncommitted) and
-// bumps the shard's persistent op counter in the same transaction, so the
-// recovered counter c per shard satisfies acked <= c <= len(journal) and
-// replay(journal[:c]) is exactly the durable contents.
+// The verification protocol is the journaled-counter protocol (see
+// verify.go), carried by each KV shard's journal and op counter.
 //
-// Run 0 stays unarmed: it measures the persistence-event span for crash-
+// Point 0 stays unarmed: it measures the persistence-event span for crash-
 // point sampling AND records a full snapshot-isolation history (writes +
 // epoch-pinned reads) checked with lincheck.CheckSI — the live proof that
 // the snapshot path is honest. The stale-read mutation mode freezes pins
@@ -38,23 +32,17 @@ import (
 // report a violation, or the harness is proven unable to catch the bug it
 // exists for.
 
-// MVCCSummary reports one MVCC crash campaign.
-type MVCCSummary struct {
-	Points        int    `json:"points"`
-	Fired         int    `json:"fired"`     // runs where the armed crash actually hit
-	Completed     int    `json:"completed"` // runs that drained before the arm point
-	AckedOps      uint64 `json:"acked_ops"`
-	SnapshotReads uint64 `json:"snapshot_reads"`
-	Reclaims      uint64 `json:"reclaim_sweeps"`
-	Span          uint64 `json:"event_span"`
+type mvccWorld struct {
+	opt   CampaignOptions
+	sh    *pmem.Sharded
+	kv    *objstore.KV
+	acked []uint64 // committed writes per KV shard
+	// reads and reclaims count the run's snapshot reads and reclamation
+	// sweeps.
+	reads, reclaims uint64
 }
 
-type mvWorld struct {
-	sh *pmem.Sharded
-	kv *objstore.KV
-}
-
-func buildMVCCWorld(opt ConcurrentOptions) (*mvWorld, error) {
+func buildMVCCWorld(opt CampaignOptions) (*mvccWorld, error) {
 	sh, err := pmem.NewSharded(pmem.NewStore(), opt.Shards, int64(opt.Seed))
 	if err != nil {
 		return nil, err
@@ -64,7 +52,27 @@ func buildMVCCWorld(opt ConcurrentOptions) (*mvWorld, error) {
 		return nil, err
 	}
 	kv.EnableJournal()
-	return &mvWorld{sh: sh, kv: kv}, nil
+	return &mvccWorld{opt: opt, sh: sh, kv: kv}, nil
+}
+
+func (w *mvccWorld) domain() *nvmsim.Domain { return w.sh.Heap().NV }
+
+func (w *mvccWorld) close() {}
+
+// run drives the workload; the unarmed baseline also records its
+// snapshot-isolation history and proves it consistent.
+func (w *mvccWorld) run(baseline bool) (bool, error) {
+	if !baseline {
+		return w.runWorkers(nil)
+	}
+	hist := &mvHistory{rec: lincheck.NewRecorder()}
+	if _, err := w.runWorkers(hist); err != nil {
+		return false, err
+	}
+	if err := lincheck.CheckSI(hist.writes, hist.reads); err != nil {
+		return false, fmt.Errorf("baseline snapshot reads not SI-consistent: %w", err)
+	}
+	return false, nil
 }
 
 // mvHistory collects the SI history of a recorded (unarmed) run.
@@ -75,167 +83,137 @@ type mvHistory struct {
 	rec    *lincheck.Recorder
 }
 
-// runMVCCWorkers drives puts/deletes/snapshot gets/scans until every
-// worker finishes or the domain crashes, with a reclamation goroutine
-// sweeping the whole time. acked counts committed writes per KV shard;
-// hist is non-nil only for unarmed recorded runs (a crashed worker's
-// history would contain in-flight writes the checker cannot attribute).
-func runMVCCWorkers(w *mvWorld, opt ConcurrentOptions, hist *mvHistory) (fired int, acked []uint64, snapReads, reclaims uint64, err error) {
-	ackedA := make([]uint64, opt.Shards)
-	var primary, reads uint64
-	errs := make([]error, opt.Workers)
-
+// runWorkers drives puts/deletes/snapshot gets/scans until every worker
+// finishes or the domain crashes, with a reclamation goroutine sweeping the
+// whole time. hist is non-nil only for unarmed recorded runs (a crashed
+// worker's history would contain in-flight writes the checker cannot
+// attribute).
+func (w *mvccWorld) runWorkers(hist *mvHistory) (bool, error) {
+	opt := w.opt
+	w.acked = make([]uint64, opt.Shards)
 	stopReclaim := make(chan struct{})
 	var reclaimWG sync.WaitGroup
 	reclaimWG.Add(1)
 	go func() {
 		defer reclaimWG.Done()
 		for {
+			w.sh.ReclaimVersions()
+			w.reclaims++
 			select {
 			case <-stopReclaim:
-				w.sh.ReclaimVersions()
-				reclaims++
 				return
 			default:
-				w.sh.ReclaimVersions()
-				reclaims++
 				runtime.Gosched() // keep the sweep loop from starving workers
 			}
 		}
 	}()
+	defer func() {
+		close(stopReclaim)
+		reclaimWG.Wait()
+	}()
 
-	var wg sync.WaitGroup
-	for wi := 0; wi < opt.Workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			defer func() {
-				r := recover()
-				if r == nil {
+	return runWorkers(w.domain(), opt.Workers, func(wi int, fail func(string, error) bool) {
+		rng := rand.New(rand.NewSource(int64(mix64(opt.Seed ^ uint64(wi+1)))))
+		var scanBuf []pds.KV
+		var localW []lincheck.SIWrite
+		var localR []lincheck.SIRead
+		for i := 0; i < opt.OpsPerWorker; i++ {
+			key := uint64(rng.Intn(opt.KeySpace) + 1)
+			switch rng.Intn(8) {
+			case 0, 1, 2: // put
+				val := uint64(wi+1)<<32 | uint64(i+1)
+				var p lincheck.Pending
+				if hist != nil {
+					p = hist.rec.Begin(wi, key)
+				}
+				if _, err := w.kv.Put(key, val); fail("Put", err) {
 					return
 				}
-				cs, ok := nvmsim.AsCrashSignal(r)
-				if !ok {
-					panic(r)
+				atomic.AddUint64(&w.acked[key%uint64(opt.Shards)], 1)
+				if hist != nil {
+					op := hist.rec.End(p, val)
+					localW = append(localW, lincheck.SIWrite{Key: key, Val: val, Call: op.Call, Ret: op.Ret})
 				}
-				if !cs.Poisoned {
-					atomic.AddUint64(&primary, 1)
+			case 3: // delete
+				var p lincheck.Pending
+				if hist != nil {
+					p = hist.rec.Begin(wi, key)
 				}
-			}()
-			fail := func(what string, err error) bool {
-				if err == nil {
-					return false
+				if _, err := w.kv.Delete(key); fail("Delete", err) {
+					return
 				}
-				if !w.sh.Heap().NV.Poisoned() {
-					errs[wi] = fmt.Errorf("worker %d %s: %w", wi, what, err)
+				atomic.AddUint64(&w.acked[key%uint64(opt.Shards)], 1)
+				if hist != nil {
+					op := hist.rec.End(p, nil)
+					localW = append(localW, lincheck.SIWrite{Key: key, Del: true, Call: op.Call, Ret: op.Ret})
 				}
-				return true
-			}
-			rng := rand.New(rand.NewSource(int64(mix64(opt.Seed ^ uint64(wi+1)))))
-			var scanBuf []pds.KV
-			var localW []lincheck.SIWrite
-			var localR []lincheck.SIRead
-			for i := 0; i < opt.OpsPerWorker; i++ {
-				key := uint64(rng.Intn(opt.KeySpace) + 1)
-				switch rng.Intn(8) {
-				case 0, 1, 2: // put
-					val := uint64(wi+1)<<32 | uint64(i+1)
-					var p lincheck.Pending
-					if hist != nil {
-						p = hist.rec.Begin(wi, key)
+			case 4, 5, 6: // snapshot get
+				var p lincheck.Pending
+				if hist != nil {
+					p = hist.rec.Begin(wi, key)
+				}
+				val, found, err := w.kv.Get(key)
+				if fail("Get", err) {
+					return
+				}
+				atomic.AddUint64(&w.reads, 1)
+				if hist != nil {
+					op := hist.rec.End(p, val)
+					localR = append(localR, lincheck.SIRead{
+						Worker: wi,
+						Obs:    []lincheck.SIObs{{Key: key, Val: val, Found: found}},
+						Call:   op.Call, Ret: op.Ret,
+					})
+				}
+			case 7: // snapshot scan
+				var p lincheck.Pending
+				if hist != nil {
+					p = hist.rec.Begin(wi, 0)
+				}
+				var err error
+				scanBuf, err = w.kv.ScanAppend(scanBuf, 0, opt.KeySpace+64)
+				if fail("Scan", err) {
+					return
+				}
+				atomic.AddUint64(&w.reads, 1)
+				if hist != nil {
+					op := hist.rec.End(p, nil)
+					got := make(map[uint64]uint64, len(scanBuf))
+					for _, kvp := range scanBuf {
+						got[kvp.Key] = kvp.Val
 					}
-					if _, err := w.kv.Put(key, val); fail("Put", err) {
-						return
-					}
-					atomic.AddUint64(&ackedA[key%uint64(opt.Shards)], 1)
-					if hist != nil {
-						op := hist.rec.End(p, val)
-						localW = append(localW, lincheck.SIWrite{Key: key, Val: val, Call: op.Call, Ret: op.Ret})
-					}
-				case 3: // delete
-					var p lincheck.Pending
-					if hist != nil {
-						p = hist.rec.Begin(wi, key)
-					}
-					if _, err := w.kv.Delete(key); fail("Delete", err) {
-						return
-					}
-					atomic.AddUint64(&ackedA[key%uint64(opt.Shards)], 1)
-					if hist != nil {
-						op := hist.rec.End(p, nil)
-						localW = append(localW, lincheck.SIWrite{Key: key, Del: true, Call: op.Call, Ret: op.Ret})
-					}
-				case 4, 5, 6: // snapshot get
-					var p lincheck.Pending
-					if hist != nil {
-						p = hist.rec.Begin(wi, key)
-					}
-					val, found, err := w.kv.Get(key)
-					if fail("Get", err) {
-						return
-					}
-					atomic.AddUint64(&reads, 1)
-					if hist != nil {
-						op := hist.rec.End(p, val)
-						localR = append(localR, lincheck.SIRead{
-							Worker: wi,
-							Obs:    []lincheck.SIObs{{Key: key, Val: val, Found: found}},
-							Call:   op.Call, Ret: op.Ret,
-						})
-					}
-				case 7: // snapshot scan
-					var p lincheck.Pending
-					if hist != nil {
-						p = hist.rec.Begin(wi, 0)
-					}
-					var err error
-					scanBuf, err = w.kv.ScanAppend(scanBuf, 0, opt.KeySpace+64)
-					if fail("Scan", err) {
-						return
-					}
-					atomic.AddUint64(&reads, 1)
-					if hist != nil {
-						op := hist.rec.End(p, nil)
-						got := make(map[uint64]uint64, len(scanBuf))
-						for _, kvp := range scanBuf {
-							got[kvp.Key] = kvp.Val
+					obs := make([]lincheck.SIObs, 0, opt.KeySpace)
+					for k := uint64(1); k <= uint64(opt.KeySpace); k++ {
+						if v, ok := got[k]; ok {
+							obs = append(obs, lincheck.SIObs{Key: k, Val: v, Found: true})
+						} else {
+							obs = append(obs, lincheck.SIObs{Key: k})
 						}
-						obs := make([]lincheck.SIObs, 0, opt.KeySpace)
-						for k := uint64(1); k <= uint64(opt.KeySpace); k++ {
-							if v, ok := got[k]; ok {
-								obs = append(obs, lincheck.SIObs{Key: k, Val: v, Found: true})
-							} else {
-								obs = append(obs, lincheck.SIObs{Key: k})
-							}
-						}
-						localR = append(localR, lincheck.SIRead{Worker: wi, Obs: obs, Call: op.Call, Ret: op.Ret})
 					}
+					localR = append(localR, lincheck.SIRead{Worker: wi, Obs: obs, Call: op.Call, Ret: op.Ret})
 				}
 			}
-			if hist != nil {
-				hist.mu.Lock()
-				hist.writes = append(hist.writes, localW...)
-				hist.reads = append(hist.reads, localR...)
-				hist.mu.Unlock()
-			}
-		}(wi)
-	}
-	wg.Wait()
-	close(stopReclaim)
-	reclaimWG.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return 0, nil, 0, 0, e
 		}
-	}
-	return int(primary), ackedA, reads, reclaims, nil
+		if hist != nil {
+			hist.mu.Lock()
+			hist.writes = append(hist.writes, localW...)
+			hist.reads = append(hist.reads, localR...)
+			hist.mu.Unlock()
+		}
+	})
 }
 
-// verifyMVCC power-cycles the world, reattaches (which reseeds the
-// snapshot mirror from the recovered bytes), and proves: per shard
-// acked <= counter <= journaled with the committed prefix replaying to the
-// exact durable contents — read back entirely through the snapshot path.
-func verifyMVCC(w *mvWorld, acked []uint64, pol nvmsim.Policy, opt ConcurrentOptions) error {
+// verify power-cycles the world, reattaches (which reseeds the snapshot
+// mirror from the recovered bytes), and runs the journaled-counter
+// protocol per shard, reading the recovered contents back entirely through
+// the snapshot path: a dangling or missing version reference surfaces as a
+// wrong value, a spurious miss, or an inconsistent scan.
+func (w *mvccWorld) verify(pol nvmsim.Policy, _ bool, sum *CampaignSummary) error {
+	for _, a := range w.acked {
+		sum.AckedOps += a
+	}
+	sum.SnapshotReads += w.reads
+	sum.Reclaims += w.reclaims
 	if _, err := w.sh.Crash(pol); err != nil {
 		return fmt.Errorf("crash: %w", err)
 	}
@@ -247,165 +225,38 @@ func verifyMVCC(w *mvWorld, acked []uint64, pol nvmsim.Policy, opt ConcurrentOpt
 	if err != nil {
 		return fmt.Errorf("structure invariants: %w", err)
 	}
-
-	// Merge the per-shard committed prefixes into one model.
-	model := make(map[uint64]uint64)
-	for i := 0; i < opt.Shards; i++ {
-		journal := w.kv.Journal(i)
-		c, err := kv2.Counter(i)
-		if err != nil {
-			return fmt.Errorf("shard %d counter: %w", i, err)
-		}
-		if c < acked[i] || c > uint64(len(journal)) {
-			return fmt.Errorf("shard %d: recovered counter %d outside [acked=%d, journaled=%d]",
-				i, c, acked[i], len(journal))
-		}
-		for k, v := range objstore.ReplayKVJournal(journal, int(c)) {
-			model[k] = v
-		}
+	model, err := kvPrefixModel(w.kv, kv2, w.opt.Shards, w.acked)
+	if err != nil {
+		return err
 	}
 	if total != len(model) {
 		return fmt.Errorf("%d keys recovered, committed prefixes replay to %d", total, len(model))
 	}
-
-	// Every post-recovery read below rides the reseeded snapshot mirror:
-	// a dangling or missing version reference surfaces here as a wrong
-	// value, a spurious miss, or an inconsistent scan.
-	for key := uint64(1); key <= uint64(opt.KeySpace); key++ {
-		val, ok, err := kv2.Get(key)
-		if err != nil {
-			return fmt.Errorf("get %d after recovery: %w", key, err)
-		}
-		want, wantOK := model[key]
-		if ok != wantOK || (ok && val != want) {
-			return fmt.Errorf("key %d: recovered (%d,%v), committed prefix says (%d,%v)",
-				key, val, ok, want, wantOK)
-		}
-	}
-	scan, err := kv2.Scan(0, opt.KeySpace+64)
-	if err != nil {
-		return fmt.Errorf("scan after recovery: %w", err)
-	}
-	if len(scan) != len(model) {
-		return fmt.Errorf("scan returned %d pairs, committed prefixes hold %d", len(scan), len(model))
-	}
-	keys := make([]uint64, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for i, k := range keys {
-		if scan[i].Key != k || scan[i].Val != model[k] {
-			return fmt.Errorf("scan[%d] = (%d,%d), want (%d,%d)", i, scan[i].Key, scan[i].Val, k, model[k])
-		}
-	}
-	return nil
+	return checkModel(model, w.opt.KeySpace, kv2.Get, func() ([]pds.KV, error) {
+		return kv2.Scan(0, w.opt.KeySpace+64)
+	})
 }
 
-// checkMVCCHistory runs the SI checker over a recorded run.
-func checkMVCCHistory(hist *mvHistory) error {
-	return lincheck.CheckSI(hist.writes, hist.reads)
-}
-
-// RunMVCC runs the MVCC crash campaign. With mutateStale set it instead
-// runs the bug-injection mode: pins frozen at a stale epoch, no crashes
-// armed — the campaign MUST fail (via the SI checker) or the harness is
-// useless; pair with potcrash -expect-failure.
-func RunMVCC(opt ConcurrentOptions, mutateStale bool) (MVCCSummary, error) {
-	if opt.Workers <= 0 || opt.Shards <= 0 || opt.OpsPerWorker <= 0 || opt.Points <= 0 {
-		return MVCCSummary{}, fmt.Errorf("crashtest: mvcc options need positive workers/shards/ops/points")
+// RunMVCC runs the MVCC crash campaign. With MutateStaleRead set it
+// instead runs the bug-injection mode: pins frozen at a stale epoch, no
+// crashes armed — the campaign MUST fail (via the SI checker) or the
+// harness is useless; pair with potcrash -expect-failure.
+func RunMVCC(opt CampaignOptions) (CampaignSummary, error) {
+	if err := opt.validate("mvcc"); err != nil {
+		return CampaignSummary{}, err
 	}
-	if opt.KeySpace <= 0 {
-		opt.KeySpace = 24
+	if opt.MutateStaleRead {
+		return runMVCCStaleMutation(opt)
 	}
-	if len(opt.Policies) == 0 {
-		opt.Policies = []nvmsim.Kind{nvmsim.DropAll}
-	}
-	sum := MVCCSummary{Points: opt.Points}
-
-	var bump func(name string, d uint64)
-	if opt.Obs != nil {
-		bump = func(name string, d uint64) { opt.Obs.Counter("crashtest.mvcc." + name).Add(d) }
-	} else {
-		bump = func(string, uint64) {}
-	}
-
-	if mutateStale {
-		return runMVCCStaleMutation(opt, sum, bump)
-	}
-
-	var startE, endE uint64
-	for point := 0; point < opt.Points; point++ {
-		w, err := buildMVCCWorld(opt)
-		if err != nil {
-			return sum, err
-		}
-		h := w.sh.Heap()
-
-		polKind := opt.Policies[point%len(opt.Policies)]
-		pol := nvmsim.Policy{Kind: polKind, Seed: mix64(opt.Seed ^ uint64(point) ^ 0x3c)}
-
-		armAt := uint64(0)
-		var hist *mvHistory
-		if point == 0 {
-			// Unarmed baseline: measures the event span and records the SI
-			// history the checker proves snapshot-consistent.
-			startE = h.NV.Events()
-			hist = &mvHistory{rec: lincheck.NewRecorder()}
-		} else {
-			span := endE - startE
-			if span == 0 {
-				span = 1
-			}
-			armAt = startE + 1 + mix64(opt.Seed^uint64(point))%span
-			h.NV.Arm(armAt)
-		}
-
-		fired, acked, reads, reclaims, err := runMVCCWorkers(w, opt, hist)
-		if err != nil {
-			return sum, fmt.Errorf("point %d: %w", point, err)
-		}
-		if point == 0 {
-			endE = h.NV.Events()
-			sum.Span = endE - startE
-			if sum.Span == 0 {
-				return sum, fmt.Errorf("crashtest: baseline run produced no persistence events")
-			}
-			if err := checkMVCCHistory(hist); err != nil {
-				return sum, fmt.Errorf("baseline snapshot reads not SI-consistent: %w", err)
-			}
-		}
-		h.NV.Disarm()
-		if fired > 1 {
-			return sum, fmt.Errorf("point %d: %d primary crash signals, want at most 1", point, fired)
-		}
-		if fired == 1 {
-			sum.Fired++
-			bump("fired", 1)
-		} else {
-			sum.Completed++
-			bump("completed", 1)
-		}
-		for _, a := range acked {
-			sum.AckedOps += a
-		}
-		sum.SnapshotReads += reads
-		sum.Reclaims += reclaims
-
-		if err := verifyMVCC(w, acked, pol, opt); err != nil {
-			return sum, fmt.Errorf("point %d (arm=%d, policy=%s, fired=%v): %w",
-				point, armAt, polKind, fired == 1, err)
-		}
-		bump("points", 1)
-	}
-	return sum, nil
+	return runSampled("mvcc", opt, 0x3c, func(int) (pointWorld, error) { return buildMVCCWorld(opt) })
 }
 
 // runMVCCStaleMutation preloads the store, freezes snapshot pins at the
 // preload epoch, runs the recorded workload, and finishes with a
 // deterministic probe (overwrite then read) that is guaranteed stale. The
 // SI checker must reject the history; its error is the campaign's.
-func runMVCCStaleMutation(opt ConcurrentOptions, sum MVCCSummary, bump func(string, uint64)) (MVCCSummary, error) {
+func runMVCCStaleMutation(opt CampaignOptions) (CampaignSummary, error) {
+	sum := CampaignSummary{Points: 1, Completed: 1}
 	w, err := buildMVCCWorld(opt)
 	if err != nil {
 		return sum, err
@@ -423,20 +274,13 @@ func runMVCCStaleMutation(opt ConcurrentOptions, sum MVCCSummary, bump func(stri
 
 	w.sh.MVCC().MutateStaleReads()
 
-	fired, acked, reads, reclaims, err := runMVCCWorkers(w, opt, hist)
-	if err != nil {
+	if _, err := w.runWorkers(hist); err != nil {
 		return sum, fmt.Errorf("mutated workload: %w", err)
 	}
-	if fired != 0 {
-		return sum, fmt.Errorf("mutation mode arms no crashes but %d fired", fired)
-	}
-	for _, a := range acked {
+	for _, a := range w.acked {
 		sum.AckedOps += a
 	}
-	sum.SnapshotReads += reads
-	sum.Reclaims += reclaims
-	sum.Completed++
-	sum.Points = 1
+	sum.SnapshotReads, sum.Reclaims = w.reads, w.reclaims
 
 	// Deterministic probe: a committed overwrite followed by a read that
 	// the frozen pin serves from the stale epoch.
@@ -459,8 +303,8 @@ func runMVCCStaleMutation(opt ConcurrentOptions, sum MVCCSummary, bump func(stri
 		Call:   op.Call, Ret: op.Ret,
 	})
 
-	if err := checkMVCCHistory(hist); err != nil {
-		bump("mutation_detected", 1)
+	if err := lincheck.CheckSI(hist.writes, hist.reads); err != nil {
+		opt.Obs.Counter("crashtest.mvcc.mutation_detected").Inc()
 		return sum, fmt.Errorf("stale-read mutation detected (as it must be): %w", err)
 	}
 	return sum, nil

@@ -21,7 +21,7 @@ func TestMVCCCampaign(t *testing.T) {
 	reg := obs.NewRegistry()
 	opt.Obs = reg
 
-	sum, err := RunMVCC(opt, false)
+	sum, err := RunMVCC(opt)
 	if err != nil {
 		t.Fatalf("mvcc campaign: %v", err)
 	}
@@ -44,7 +44,8 @@ func TestMVCCStaleMutationCaught(t *testing.T) {
 	opt := DefaultConcurrentOptions()
 	opt.Seed = uint64(randtest.Seed(t, 12))
 	opt.Points = 1
-	_, err := RunMVCC(opt, true)
+	opt.MutateStaleRead = true
+	_, err := RunMVCC(opt)
 	if err == nil {
 		t.Fatal("stale-read mutation went undetected — the harness cannot catch the bug it exists for")
 	}
@@ -58,7 +59,7 @@ func TestMVCCStaleMutationCaught(t *testing.T) {
 func TestMVCCCampaignRejectsBadOptions(t *testing.T) {
 	opt := DefaultConcurrentOptions()
 	opt.Workers = 0
-	if _, err := RunMVCC(opt, false); err == nil {
+	if _, err := RunMVCC(opt); err == nil {
 		t.Fatal("zero workers accepted")
 	}
 }

@@ -82,24 +82,6 @@ type RepairSummary struct {
 	ScrubSpan uint64 `json:"scrub_event_span"`
 }
 
-// scrubAllCatching runs a synchronous scrub pass, converting an armed
-// power failure into a (stats-so-far, crashed=true) return.
-func scrubAllCatching(sh *pmem.Sharded) (st pmem.ScrubStats, crashed bool, err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, ok := nvmsim.AsCrashSignal(r); !ok {
-			panic(r)
-		}
-		crashed = true
-		err = nil
-	}()
-	st, err = sh.ScrubAll()
-	return st, false, err
-}
-
 // RunRepair runs the corrupt-scrub-verify campaign.
 func RunRepair(opt RepairOptions) (RepairSummary, error) {
 	if opt.Shards <= 0 || opt.Keys <= 0 || opt.K <= 0 || opt.Rounds <= 0 {
@@ -108,12 +90,7 @@ func RunRepair(opt RepairOptions) (RepairSummary, error) {
 	if len(opt.Policies) == 0 {
 		opt.Policies = []nvmsim.Kind{nvmsim.DropAll}
 	}
-	var bump func(name string, d uint64)
-	if opt.Obs != nil {
-		bump = func(name string, d uint64) { opt.Obs.Counter("crashtest.repair." + name).Add(d) }
-	} else {
-		bump = func(string, uint64) {}
-	}
+	count := func(name string) *obs.Counter { return opt.Obs.Counter("crashtest.repair." + name) }
 	sum := RepairSummary{Rounds: opt.Rounds}
 
 	sh, err := pmem.NewSharded(pmem.NewStore(), opt.Shards, int64(opt.Seed))
@@ -191,16 +168,8 @@ func RunRepair(opt RepairOptions) (RepairSummary, error) {
 				return fmt.Errorf("round %d: pool %q diverges from baseline at byte %d", round, name, off)
 			}
 		}
-		for key := uint64(1); key <= uint64(opt.Keys); key++ {
-			v, ok, err := kv.Get(key)
-			if err != nil {
-				return fmt.Errorf("round %d: Get(%d): %w", round, key, err)
-			}
-			want, present := model[key]
-			if ok != present || (ok && v != want) {
-				return fmt.Errorf("round %d: Get(%d) = %d,%v, model says %d,%v",
-					round, key, v, ok, want, present)
-			}
+		if err := checkModel(model, opt.Keys, kv.Get, nil); err != nil {
+			return fmt.Errorf("round %d: %w", round, err)
 		}
 		return nil
 	}
@@ -214,16 +183,15 @@ func RunRepair(opt RepairOptions) (RepairSummary, error) {
 
 		armed := false
 		if opt.CrashMidScrub && round > 0 {
-			span := sum.ScrubSpan
-			if span == 0 {
-				span = 1
-			}
-			armAt := h.NV.Events() + 1 + mix64(opt.Seed^uint64(round))%span
-			h.NV.Arm(armAt)
+			h.NV.Arm(h.NV.Events() + 1 + mix64(opt.Seed^uint64(round))%sum.ScrubSpan)
 			armed = true
 		}
 		startE := h.NV.Events()
-		st, crashed, err := scrubAllCatching(sh)
+		var st pmem.ScrubStats
+		crashed, err := catchCrash(func() (err error) {
+			st, err = sh.ScrubAll()
+			return err
+		})
 		if err != nil {
 			return sum, fmt.Errorf("round %d: scrub: %w", round, err)
 		}
@@ -236,7 +204,7 @@ func RunRepair(opt RepairOptions) (RepairSummary, error) {
 		h.NV.Disarm()
 		if crashed {
 			sum.Fired++
-			bump("fired", 1)
+			count("fired").Inc()
 			pol := nvmsim.Policy{
 				Kind: opt.Policies[round%len(opt.Policies)],
 				Seed: mix64(opt.Seed ^ uint64(round) ^ 0xcc),
@@ -269,21 +237,21 @@ func RunRepair(opt RepairOptions) (RepairSummary, error) {
 			}
 		} else if armed {
 			sum.Completed++
-			bump("completed", 1)
+			count("completed").Inc()
 		}
 		sum.Repaired += st.Repaired
 		sum.ParityRepaired += st.ParityRepaired
 		sum.Unrepairable += st.Unrepairable
-		bump("repaired", uint64(st.Repaired))
-		bump("parity_repaired", uint64(st.ParityRepaired))
-		bump("unrepairable", uint64(st.Unrepairable))
+		count("repaired").Add(uint64(st.Repaired))
+		count("parity_repaired").Add(uint64(st.ParityRepaired))
+		count("unrepairable").Add(uint64(st.Unrepairable))
 		if st.Unrepairable > 0 {
 			return sum, fmt.Errorf("round %d: %d unrepairable faults (injected %v)", round, st.Unrepairable, faults)
 		}
 		if err := verify(round); err != nil {
 			return sum, err
 		}
-		bump("rounds", 1)
+		count("rounds").Inc()
 	}
 	return sum, nil
 }

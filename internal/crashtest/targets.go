@@ -70,45 +70,72 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// txCtx is the pds.Ctx that routes structure mutations through the heap's
-// undo transactions, with the per-transaction snapshot dedup the Ctx
-// contract requires.
+// txCtx is the pds.Ctx that routes structure mutations through an undo
+// transaction, with the per-transaction snapshot dedup the Ctx contract
+// requires. With tx nil it performs plain, setup-time operations.
 type txCtx struct {
 	h       *pmem.Heap
 	p       *pmem.Pool
+	tx      *pmem.Tx
 	touched map[oid.OID]bool
 }
 
-func (c *txCtx) reset() { c.touched = make(map[oid.OID]bool) }
+// bind starts a transaction's worth of structure operations under tx.
+func (c *txCtx) bind(tx *pmem.Tx) {
+	c.tx = tx
+	c.touched = make(map[oid.OID]bool)
+}
 
 func (c *txCtx) Heap() *pmem.Heap { return c.h }
 
 func (c *txCtx) Alloc(_ uint64, size uint32) (oid.OID, error) {
-	if c.h.InTx() {
-		return c.h.TxAlloc(c.p, size)
+	if c.tx != nil {
+		return c.tx.Alloc(c.p, size)
 	}
 	return c.h.Alloc(c.p, size)
 }
 
 func (c *txCtx) Free(o oid.OID) error {
-	if c.h.InTx() {
-		return c.h.TxFree(o)
+	if c.tx != nil {
+		return c.tx.Free(o)
 	}
 	return c.h.Free(o)
 }
 
 func (c *txCtx) Touch(o oid.OID, size uint32) error {
-	if !c.h.InTx() {
+	if c.tx == nil || c.touched[o] {
 		return nil
 	}
-	if c.touched[o] {
-		return nil
-	}
-	if err := c.h.TxAddRange(o, size); err != nil {
+	if err := c.tx.AddRange(o, size); err != nil {
 		return err
 	}
 	c.touched[o] = true
 	return nil
+}
+
+// storeCounter snapshots a persistent op counter into the open
+// transaction and sets it to v. Because the counter commits atomically
+// with the operation, its recovered value names exactly the durable
+// prefix of the operation stream.
+func (c *txCtx) storeCounter(counter oid.OID, v uint64) error {
+	if err := c.Touch(counter, 8); err != nil {
+		return err
+	}
+	ref, err := c.h.Deref(counter, isa.RZ)
+	if err != nil {
+		return err
+	}
+	return ref.Store64(0, v, isa.RZ)
+}
+
+// load64 reads one persistent word: an op counter, a slot, a canary.
+func load64(h *pmem.Heap, o oid.OID) (uint64, error) {
+	ref, err := h.Deref(o, isa.RZ)
+	if err != nil {
+		return 0, err
+	}
+	w, err := ref.Load64(0)
+	return w.V, err
 }
 
 // --- persistent-structure targets ---
@@ -178,26 +205,34 @@ func (t *pdsTarget) Name() string { return t.kind }
 
 func (t *pdsTarget) poolName() string { return "ct-" + t.kind }
 
-func (t *pdsTarget) bind(h *pmem.Heap, p *pmem.Pool) (*pdsInstance, error) {
+// bindStructure binds one pds structure over its pool's root, laid out as
+// the structure's anchor at field 0 and its persistent op counter at
+// field 8. The crash targets and Multi share the layout and the adapters.
+func bindStructure(h *pmem.Heap, p *pmem.Pool, kind string) (structOps, oid.OID, error) {
 	root, err := h.Root(p, 16)
 	if err != nil {
-		return nil, err
+		return nil, oid.Null, err
 	}
 	anchor := pds.NewCell(h, root.FieldAt(0))
-	var ops structOps
-	switch t.kind {
+	switch kind {
 	case "list":
-		ops = listOps{pds.NewList(anchor)}
+		return listOps{pds.NewList(anchor)}, root, nil
 	case "bst":
-		ops = bstOps{pds.NewBST(anchor)}
+		return bstOps{pds.NewBST(anchor)}, root, nil
 	case "rbt":
-		ops = rbtOps{pds.NewRBT(anchor)}
+		return rbtOps{pds.NewRBT(anchor)}, root, nil
 	case "btree":
-		ops = btreeOps{pds.NewBTree(anchor)}
+		return btreeOps{pds.NewBTree(anchor)}, root, nil
 	case "bplus":
-		ops = bplusOps{pds.NewBPlus(anchor)}
-	default:
-		return nil, fmt.Errorf("crashtest: unknown structure kind %q", t.kind)
+		return bplusOps{pds.NewBPlus(anchor)}, root, nil
+	}
+	return nil, oid.Null, fmt.Errorf("crashtest: unknown structure kind %q", kind)
+}
+
+func (t *pdsTarget) bind(h *pmem.Heap, p *pmem.Pool) (*pdsInstance, error) {
+	ops, root, err := bindStructure(h, p, t.kind)
+	if err != nil {
+		return nil, err
 	}
 	return &pdsInstance{
 		t:       t,
@@ -257,26 +292,6 @@ type pdsInstance struct {
 	ctx     *txCtx
 }
 
-func (in *pdsInstance) setCounter(v uint64) error {
-	if err := in.ctx.Touch(in.counter, 8); err != nil {
-		return err
-	}
-	ref, err := in.h.Deref(in.counter, isa.RZ)
-	if err != nil {
-		return err
-	}
-	return ref.Store64(0, v, isa.RZ)
-}
-
-func (in *pdsInstance) readCounter() (uint64, error) {
-	ref, err := in.h.Deref(in.counter, isa.RZ)
-	if err != nil {
-		return 0, err
-	}
-	w, err := ref.Load64(0)
-	return w.V, err
-}
-
 func (in *pdsInstance) Run(ops int) error {
 	for i := 0; i < ops; i++ {
 		if err := in.doOp(i); err != nil {
@@ -288,10 +303,11 @@ func (in *pdsInstance) Run(ops int) error {
 
 func (in *pdsInstance) doOp(i int) error {
 	ins, k, v := opFor(in.t.seed, i)
-	if err := in.h.TxBegin(in.p); err != nil {
+	tx, err := in.h.Begin(in.p)
+	if err != nil {
 		return err
 	}
-	in.ctx.reset()
+	in.ctx.bind(tx)
 	present, _, err := in.ops.get(in.ctx, k)
 	if err != nil {
 		return err
@@ -307,14 +323,14 @@ func (in *pdsInstance) doOp(i int) error {
 	if err != nil {
 		return err
 	}
-	if err := in.setCounter(uint64(i + 1)); err != nil {
+	if err := in.ctx.storeCounter(in.counter, uint64(i+1)); err != nil {
 		return err
 	}
-	return in.h.TxEnd()
+	return tx.Commit()
 }
 
 func (in *pdsInstance) Check(ops int) error {
-	j, err := in.readCounter()
+	j, err := load64(in.h, in.counter)
 	if err != nil {
 		return err
 	}
@@ -527,15 +543,6 @@ func (t *allocTarget) Attach(h *pmem.Heap) (Instance, error) {
 
 func (in *allocInstance) slotOID(slot int) oid.OID { return in.root.FieldAt(uint32(8 + slot*8)) }
 
-func (in *allocInstance) read64At(o oid.OID) (uint64, error) {
-	ref, err := in.h.Deref(o, isa.RZ)
-	if err != nil {
-		return 0, err
-	}
-	w, err := ref.Load64(0)
-	return w.V, err
-}
-
 func (in *allocInstance) Run(ops int) error {
 	for i := 0; i < ops; i++ {
 		if err := in.doOp(i); err != nil {
@@ -551,7 +558,7 @@ func (in *allocInstance) doOp(i int) error {
 	if err := h.TxBegin(in.p); err != nil {
 		return err
 	}
-	cur, err := in.read64At(in.slotOID(slot))
+	cur, err := load64(in.h, in.slotOID(slot))
 	if err != nil {
 		return err
 	}
@@ -592,7 +599,7 @@ func (in *allocInstance) doOp(i int) error {
 }
 
 func (in *allocInstance) Check(ops int) error {
-	j, err := in.read64At(in.root)
+	j, err := load64(in.h, in.root)
 	if err != nil {
 		return err
 	}
@@ -602,7 +609,7 @@ func (in *allocInstance) Check(ops int) error {
 	model := allocModel(in.t.seed, int(j))
 	seen := make(map[uint64]bool)
 	for slot := 0; slot < allocSlots; slot++ {
-		cur, err := in.read64At(in.slotOID(slot))
+		cur, err := load64(in.h, in.slotOID(slot))
 		if err != nil {
 			return err
 		}
@@ -617,7 +624,7 @@ func (in *allocInstance) Check(ops int) error {
 			return fmt.Errorf("alloc after %d committed ops: object %#x in two slots", j, cur)
 		}
 		seen[cur] = true
-		canary, err := in.read64At(oid.OID(cur))
+		canary, err := load64(in.h, oid.OID(cur))
 		if err != nil {
 			return fmt.Errorf("alloc after %d committed ops: slot %d: %w", j, slot, err)
 		}

@@ -1,25 +1,12 @@
 package harness
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"strings"
-)
+import "slices"
 
 // CrashRecord is one crash-injection campaign result, appended to a
 // trajectory file (BENCH_crash.json) by cmd/potcrash so successive PRs can
 // track the engine's coverage and the heap's crash-consistency record.
 type CrashRecord struct {
-	// Timestamp is RFC 3339 UTC.
-	Timestamp string `json:"timestamp"`
-	// GitSHA identifies the tree ("" when unknown, "-dirty" suffix for
-	// uncommitted changes); used to refuse duplicate campaign records.
-	GitSHA string `json:"git_sha,omitempty"`
-	// GoVersion and NumCPU describe the machine.
-	GoVersion string `json:"go_version"`
-	NumCPU    int    `json:"num_cpu"`
+	Provenance
 	// Campaign configuration.
 	Seed      uint64   `json:"seed"`
 	Ops       int      `json:"ops"`
@@ -34,53 +21,8 @@ type CrashRecord struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// ErrDuplicateCrashRecord reports that the trajectory file already holds a
-// campaign of the same tree and configuration.
-var ErrDuplicateCrashRecord = errors.New("duplicate crash record for this git SHA and configuration")
-
-func sameCrashConfig(a, b CrashRecord) bool {
-	if a.GitSHA != b.GitSHA || a.Seed != b.Seed || a.Ops != b.Ops || a.MaxPoints != b.MaxPoints {
-		return false
-	}
-	eq := func(x, y []string) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return eq(a.Policies, b.Policies) && eq(a.Targets, b.Targets)
-}
-
-// AppendCrashRecord appends rec to the JSON-array trajectory file at path,
-// creating it if absent, with the same duplicate-refusal rule as
-// AppendSpeedRecord: a clean tree may record each configuration once;
-// dirty trees are exempt.
-func AppendCrashRecord(path string, rec CrashRecord) error {
-	var records []CrashRecord
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &records); err != nil {
-			return fmt.Errorf("harness: %s holds invalid trajectory data: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("harness: %w", err)
-	}
-	if rec.GitSHA != "" && !strings.HasSuffix(rec.GitSHA, "-dirty") {
-		for _, r := range records {
-			if sameCrashConfig(r, rec) {
-				return fmt.Errorf("harness: %s: %w (sha %s, recorded %s)",
-					path, ErrDuplicateCrashRecord, rec.GitSHA, r.Timestamp)
-			}
-		}
-	}
-	records = append(records, rec)
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+// SameConfig reports whether two campaigns share a configuration.
+func (a CrashRecord) SameConfig(b CrashRecord) bool {
+	return a.Seed == b.Seed && a.Ops == b.Ops && a.MaxPoints == b.MaxPoints &&
+		slices.Equal(a.Policies, b.Policies) && slices.Equal(a.Targets, b.Targets)
 }

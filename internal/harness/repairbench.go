@@ -1,11 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
 	"potgo/internal/objstore"
@@ -20,14 +16,7 @@ import (
 // verification, so VerifyOnRead's overhead is tracked as its own series
 // instead of silently regressing BENCH_serve.json.
 type RepairRecord struct {
-	// Timestamp is RFC 3339 UTC.
-	Timestamp string `json:"timestamp"`
-	// GitSHA identifies the tree ("" when unknown, "-dirty" suffix for
-	// uncommitted changes); used to refuse duplicate campaign records.
-	GitSHA string `json:"git_sha,omitempty"`
-	// GoVersion and NumCPU describe the machine.
-	GoVersion string `json:"go_version"`
-	NumCPU    int    `json:"num_cpu"`
+	Provenance
 	// Campaign configuration.
 	Seed          uint64 `json:"seed"`
 	K             int    `json:"k"`
@@ -125,43 +114,10 @@ func MeasureFTOverhead(benches []string, ops, tpccOps int, seed int64) ([]FTBenc
 	return out, nil
 }
 
-// ErrDuplicateRepairRecord reports that the trajectory file already holds
-// a campaign of the same tree and configuration.
-var ErrDuplicateRepairRecord = errors.New("duplicate repair record for this git SHA and configuration")
-
-func sameRepairConfig(a, b RepairRecord) bool {
-	return a.GitSHA == b.GitSHA && a.Seed == b.Seed && a.K == b.K &&
-		a.Mode == b.Mode && a.Rounds == b.Rounds && a.Keys == b.Keys &&
-		a.Ops == b.Ops && a.CrashMidScrub == b.CrashMidScrub
-}
-
-// AppendRepairRecord appends rec to the JSON-array trajectory file at
-// path, creating it if absent, with the same duplicate-refusal rule as
-// AppendCrashRecord: a clean tree may record each configuration once;
-// dirty trees are exempt.
-func AppendRepairRecord(path string, rec RepairRecord) error {
-	var records []RepairRecord
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &records); err != nil {
-			return fmt.Errorf("harness: %s holds invalid trajectory data: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("harness: %w", err)
-	}
-	if rec.GitSHA != "" && !strings.HasSuffix(rec.GitSHA, "-dirty") {
-		for _, r := range records {
-			if sameRepairConfig(r, rec) {
-				return fmt.Errorf("harness: %s: %w (sha %s, recorded %s)",
-					path, ErrDuplicateRepairRecord, rec.GitSHA, r.Timestamp)
-			}
-		}
-	}
-	records = append(records, rec)
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+// SameConfig reports whether two campaigns share a configuration.
+func (a RepairRecord) SameConfig(b RepairRecord) bool {
+	return a.Seed == b.Seed && a.K == b.K && a.Mode == b.Mode && a.Rounds == b.Rounds &&
+		a.Keys == b.Keys && a.Ops == b.Ops && a.CrashMidScrub == b.CrashMidScrub
 }
 
 // MeasureVerifyOverhead times the KV get path over a fault-free

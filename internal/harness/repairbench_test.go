@@ -42,17 +42,16 @@ func TestMeasureFTOverheadValidates(t *testing.T) {
 func TestRepairRecordWorkloadsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_repair.json")
 	rec := RepairRecord{
-		Timestamp: "2026-01-01T00:00:00Z",
-		GitSHA:    "abc123",
-		Seed:      9,
-		K:         2,
-		Mode:      "ft-overhead",
-		Workloads: []FTBenchOverhead{{Bench: "LL", Ops: 100, PlainNs: 10, FTNs: 12}},
+		Provenance: stamp("abc123"),
+		Seed:       9,
+		K:          2,
+		Mode:       "ft-overhead",
+		Workloads:  []FTBenchOverhead{{Bench: "LL", Ops: 100, PlainNs: 10, FTNs: 12}},
 	}
-	if err := AppendRepairRecord(path, rec); err != nil {
+	if err := AppendRecord(path, rec); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := AppendRepairRecord(path, rec); err == nil {
+	if err := AppendRecord(path, rec); err == nil {
 		t.Fatal("duplicate config must be refused")
 	}
 	if got := rec.Workloads[0].Overhead(); got < 0.19 || got > 0.21 {

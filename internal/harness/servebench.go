@@ -1,29 +1,15 @@
 package harness
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"strings"
-)
-
 // ServeRecord is one potbench run against a potserve server, appended to a
 // trajectory file (BENCH_serve.json) so successive PRs can track the
 // network front-end's throughput and tail latency.
 type ServeRecord struct {
-	// Timestamp is RFC 3339 UTC.
-	Timestamp string `json:"timestamp"`
-	// GitSHA identifies the tree ("" when unknown, "-dirty" suffix for
-	// uncommitted changes); used to refuse duplicate run records.
-	GitSHA string `json:"git_sha,omitempty"`
-	// GoVersion, NumCPU and GoMaxProcs describe the machine: records taken
-	// at different GOMAXPROCS are not comparable (a 1-P run serializes the
+	Provenance
+	// GoMaxProcs completes the machine description: records taken at
+	// different GOMAXPROCS are not comparable (a 1-P run serializes the
 	// server and clients onto one scheduler thread), so the capture
 	// conditions are part of the record.
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"go_max_procs,omitempty"`
+	GoMaxProcs int `json:"go_max_procs,omitempty"`
 	// Run configuration.
 	Seed       uint64 `json:"seed"`
 	Conns      int    `json:"conns"`
@@ -52,42 +38,10 @@ type ServeRecord struct {
 	P99us       float64 `json:"p99_us"`
 }
 
-// ErrDuplicateServeRecord reports that the trajectory file already holds a
-// run of the same tree and configuration.
-var ErrDuplicateServeRecord = errors.New("duplicate serve record for this git SHA and configuration")
-
-func sameServeConfig(a, b ServeRecord) bool {
-	return a.GitSHA == b.GitSHA && a.Seed == b.Seed && a.Conns == b.Conns &&
-		a.OpsPerConn == b.OpsPerConn && a.Depth == b.Depth && a.KeySpace == b.KeySpace &&
-		a.ReadPct == b.ReadPct && a.Shards == b.Shards && a.InProcess == b.InProcess &&
-		a.Snapshot == b.Snapshot && a.Cluster == b.Cluster
-}
-
-// AppendServeRecord appends rec to the JSON-array trajectory file at path,
-// creating it if absent, with the same duplicate-refusal rule as
-// AppendCrashRecord: a clean tree may record each configuration once; dirty
-// trees are exempt.
-func AppendServeRecord(path string, rec ServeRecord) error {
-	var records []ServeRecord
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &records); err != nil {
-			return fmt.Errorf("harness: %s holds invalid trajectory data: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("harness: %w", err)
-	}
-	if rec.GitSHA != "" && !strings.HasSuffix(rec.GitSHA, "-dirty") {
-		for _, r := range records {
-			if sameServeConfig(r, rec) {
-				return fmt.Errorf("harness: %s: %w (sha %s, recorded %s)",
-					path, ErrDuplicateServeRecord, rec.GitSHA, r.Timestamp)
-			}
-		}
-	}
-	records = append(records, rec)
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+// SameConfig reports whether two runs share a configuration.
+func (a ServeRecord) SameConfig(b ServeRecord) bool {
+	return a.Seed == b.Seed && a.Conns == b.Conns && a.OpsPerConn == b.OpsPerConn &&
+		a.Depth == b.Depth && a.KeySpace == b.KeySpace && a.ReadPct == b.ReadPct &&
+		a.Shards == b.Shards && a.InProcess == b.InProcess && a.Snapshot == b.Snapshot &&
+		a.Cluster == b.Cluster
 }

@@ -1,26 +1,12 @@
 package harness
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"strings"
-)
+import "slices"
 
 // SpeedRecord is one simulator-throughput measurement, appended to a
 // trajectory file (BENCH_simspeed.json) by cmd/experiments so successive PRs
 // can track simulation-speed regressions.
 type SpeedRecord struct {
-	// Timestamp is RFC 3339 UTC.
-	Timestamp string `json:"timestamp"`
-	// GitSHA identifies the tree the measurement ran on ("" when unknown,
-	// with a "-dirty" suffix for uncommitted changes). Used to refuse
-	// duplicate measurements of the same tree and configuration.
-	GitSHA string `json:"git_sha,omitempty"`
-	// GoVersion and NumCPU describe the machine the measurement ran on.
-	GoVersion string `json:"go_version"`
-	NumCPU    int    `json:"num_cpu"`
+	Provenance
 	// Parallel is the worker-pool width used.
 	Parallel int `json:"parallel"`
 	// Quick records whether the reduced (CI-sized) scale was used.
@@ -44,53 +30,8 @@ type ExperimentTiming struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// ErrDuplicateSpeedRecord reports that the trajectory file already holds a
-// measurement of the same tree (git SHA) and configuration; a second one
-// would only add noise to regression tracking.
-var ErrDuplicateSpeedRecord = errors.New("duplicate speed record for this git SHA and configuration")
-
-// sameConfig reports whether two records measure the same tree with the
-// same configuration (quick scale, pool width, experiment set).
-func sameConfig(a, b SpeedRecord) bool {
-	if a.GitSHA != b.GitSHA || a.Quick != b.Quick || a.Parallel != b.Parallel ||
-		len(a.Experiments) != len(b.Experiments) {
-		return false
-	}
-	for i := range a.Experiments {
-		if a.Experiments[i] != b.Experiments[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AppendSpeedRecord appends rec to the JSON-array trajectory file at path,
-// creating it if absent. When rec carries a git SHA and the file already
-// holds a record for the same SHA and configuration, nothing is written
-// and the error wraps ErrDuplicateSpeedRecord. Dirty trees ("-dirty"
-// suffix) are exempt: successive uncommitted states share a SHA yet are
-// different trees.
-func AppendSpeedRecord(path string, rec SpeedRecord) error {
-	var records []SpeedRecord
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &records); err != nil {
-			return fmt.Errorf("harness: %s holds invalid trajectory data: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("harness: %w", err)
-	}
-	if rec.GitSHA != "" && !strings.HasSuffix(rec.GitSHA, "-dirty") {
-		for _, r := range records {
-			if sameConfig(r, rec) {
-				return fmt.Errorf("harness: %s: %w (sha %s, recorded %s)",
-					path, ErrDuplicateSpeedRecord, rec.GitSHA, r.Timestamp)
-			}
-		}
-	}
-	records = append(records, rec)
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+// SameConfig reports whether two measurements share a configuration
+// (quick scale, pool width, experiment set).
+func (a SpeedRecord) SameConfig(b SpeedRecord) bool {
+	return a.Quick == b.Quick && a.Parallel == b.Parallel && slices.Equal(a.Experiments, b.Experiments)
 }

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"potgo/internal/crashtest"
 	"potgo/internal/lincheck"
-	"potgo/internal/objstore"
 	"potgo/internal/pmem"
 	"potgo/internal/randtest"
 )
@@ -78,13 +78,13 @@ func TestMultiLinearizable(t *testing.T) {
 	}
 	// Uniform structure choice spreads total ops evenly; pad by 25% so
 	// every structure clears the per-structure floor with margin.
-	totalOps := perStruct * len(objstore.Kinds) * 5 / 4
+	totalOps := perStruct * len(crashtest.Kinds) * 5 / 4
 
 	sh, err := pmem.NewSharded(pmem.NewStore(), 8, 1)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	m, err := objstore.CreateMulti(sh, "lin")
+	m, err := crashtest.CreateMulti(sh, "lin")
 	if err != nil {
 		t.Fatalf("CreateMulti: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestMultiLinearizable(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seeds[w]))
 			for i := 0; i < perWorker; i++ {
-				kind := int8(r.Intn(len(objstore.Kinds)))
+				kind := int8(r.Intn(len(crashtest.Kinds)))
 				key := uint64(r.Intn(keySpace) + 1)
 				var in msIn
 				switch r.Intn(8) {
@@ -119,9 +119,9 @@ func TestMultiLinearizable(t *testing.T) {
 				case 5, 6:
 					in = msIn{Op: msHas, Kind: kind, Key: key}
 				case 7:
-					to := int8(r.Intn(len(objstore.Kinds)))
+					to := int8(r.Intn(len(crashtest.Kinds)))
 					if to == kind {
-						to = (to + 1) % int8(len(objstore.Kinds))
+						to = (to + 1) % int8(len(crashtest.Kinds))
 					}
 					in = msIn{Op: msXfer, Kind: kind, To: to, Key: key}
 				}
@@ -154,7 +154,7 @@ func TestMultiLinearizable(t *testing.T) {
 		}
 	}
 
-	perStructOps := make([]int, len(objstore.Kinds))
+	perStructOps := make([]int, len(crashtest.Kinds))
 	history := rec.History()
 	for _, op := range history {
 		in := op.Input.(msIn)
@@ -167,7 +167,7 @@ func TestMultiLinearizable(t *testing.T) {
 	if !testing.Short() {
 		for kind, n := range perStructOps {
 			if n < 10000 {
-				t.Fatalf("structure %s saw %d ops, below the 10k stress floor", objstore.Kinds[kind], n)
+				t.Fatalf("structure %s saw %d ops, below the 10k stress floor", crashtest.Kinds[kind], n)
 			}
 		}
 	}

@@ -1,9 +1,8 @@
-// Package objstore provides concurrent persistent object stores over the
-// sharded heap (pmem.Sharded): KV, the flat key-value store cmd/potserve
-// fronts, and Multi, a five-structure store exercising per-OID latches and
-// cross-structure transactions. Both are the subjects the linearizability
-// harness (internal/lincheck) and the concurrent crash campaign
-// (internal/crashtest) prove the concurrency layer with.
+// Package objstore provides KV, the concurrent persistent key-value store
+// over the sharded heap (pmem.Sharded) that cmd/potserve fronts. It is the
+// subject the linearizability harness (internal/lincheck) and the MVCC and
+// cluster crash campaigns (internal/crashtest) prove the concurrency layer
+// with.
 package objstore
 
 import (
