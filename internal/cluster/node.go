@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"potgo/internal/nvmsim"
@@ -68,10 +69,16 @@ type Node struct {
 	// streams instead, which is what keeps two nodes writing to each other
 	// deadlock-free.
 	wmu sync.Mutex
-	// repmu[origin] serializes follower applies per origin. Different
-	// origins own disjoint key segments, so per-origin locking preserves
-	// per-key order without coupling the origins (or the local write path).
-	repmu sync.Map // uint32 -> *sync.Mutex
+	// wscratch is the coordinator path's apply scratch, guarded by wmu.
+	wscratch applyScratch
+	// origins[origin] serializes follower applies per origin and holds
+	// their scratch. Different origins own disjoint key segments, so
+	// per-origin locking preserves per-key order without coupling the
+	// origins (or the local write path).
+	origins sync.Map // uint32 -> *originApply
+	// applyChunk bounds how many log entries one local transaction
+	// applies, on the coordinator path and the follower path alike.
+	applyChunk int
 	// seq numbers this node's own log from 1.
 	seq uint64
 	// tracker counts durability acks for this node's own log.
@@ -97,6 +104,11 @@ type Node struct {
 	peersMu sync.Mutex
 	peers   map[uint32]*peerStream
 
+	// repFrames and repEntries count the REP frames this node received as
+	// a follower and the entries they carried: entries per frame is how
+	// much replication traffic one round trip amortizes.
+	repFrames, repEntries atomic.Uint64
+
 	dead      bool
 	deathOnce sync.Once
 
@@ -108,13 +120,14 @@ type Node struct {
 // NewNode builds a cluster node over a journaled KV at the given topology.
 func NewNode(id uint32, kv *objstore.KV, topo Topology) *Node {
 	return &Node{
-		ID:        id,
-		KV:        kv,
-		topo:      topo,
-		tracker:   NewTracker(topo.Quorum()),
-		watermark: make(map[uint32]uint64),
-		applied:   make(map[uint32][]Applied),
-		trimmed:   make(map[uint32]uint64),
+		ID:         id,
+		KV:         kv,
+		topo:       topo,
+		tracker:    NewTracker(topo.Quorum()),
+		watermark:  make(map[uint32]uint64),
+		applied:    make(map[uint32][]Applied),
+		trimmed:    make(map[uint32]uint64),
+		applyChunk: objstore.MaxBatchOps,
 	}
 }
 
@@ -250,6 +263,12 @@ func (n *Node) Seq() uint64 {
 	return n.seq
 }
 
+// RepStats returns how many REP frames this node received as a follower
+// and how many log entries they carried (duplicates included).
+func (n *Node) RepStats() (frames, entries uint64) {
+	return n.repFrames.Load(), n.repEntries.Load()
+}
+
 // Tracker returns the node's quorum tracker for its own log.
 func (n *Node) Tracker() *Tracker { return n.tracker }
 
@@ -272,6 +291,8 @@ type peerStream struct {
 	mu    sync.Mutex
 	conn  *potserve.Client
 	known uint64
+	// frame is the REP payload scratch, reused across pushes.
+	frame []potserve.RepEntry
 }
 
 // peer returns the stream for a peer node, creating it on first use.
@@ -304,12 +325,23 @@ func (n *Node) Close() {
 	}
 }
 
-// Exec implements potserve.Backend. Reads serve locally after an ownership
-// check; writes run the replicated commit protocol; replication ops run the
-// follower state machine. A crash signal from the heap (armed nvmsim event,
-// or any event after poisoning) is recovered here and turns into node
-// death, exactly like a process crash under a real power cut.
+// Exec implements potserve.Backend: one request is a batch of one.
 func (n *Node) Exec(req *potserve.Request, resp *potserve.Response) {
+	reqs := [1]potserve.Request{*req}
+	resps := [1]potserve.Response{*resp}
+	n.ExecBatch(reqs[:], resps[:])
+	*resp = resps[0]
+}
+
+// ExecBatch implements potserve.BatchBackend. Each maximal run of
+// consecutive PUT/DEL requests runs the replicated commit as one unit
+// (execWrites); every other request executes in place between runs, so
+// the connection's order is kept. Reads serve locally after an ownership
+// check; replication ops run the follower state machine. A crash signal
+// from the heap (armed nvmsim event, or any event after poisoning) is
+// recovered here and turns into node death, exactly like a process crash
+// under a real power cut.
+func (n *Node) ExecBatch(reqs []potserve.Request, resps []potserve.Response) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -319,20 +351,41 @@ func (n *Node) Exec(req *potserve.Request, resp *potserve.Response) {
 			panic(r)
 		}
 		n.markDead()
-		// The response never reaches the client: the death hook closes the
-		// server, tearing every connection down mid-flight. Fill a refusal
-		// anyway so an in-process caller sees a coherent response.
-		*resp = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: node crashed"}
+		// The responses never reach the client: the death hook closes the
+		// server, tearing every connection down mid-flight. Fill refusals
+		// anyway so an in-process caller sees coherent responses.
+		for i := range resps {
+			resps[i] = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: node crashed"}
+		}
 	}()
-	if n.Dead() {
-		*resp = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: node is dead"}
-		return
+	for i := 0; i < len(reqs); {
+		j := i + 1
+		if isWrite(reqs[i].Op) {
+			for j < len(reqs) && isWrite(reqs[j].Op) {
+				j++
+			}
+		}
+		switch {
+		case n.Dead():
+			for k := i; k < j; k++ {
+				resps[k] = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: node is dead"}
+			}
+		case isWrite(reqs[i].Op):
+			n.execWrites(reqs[i:j], resps[i:j])
+		default:
+			n.execOne(&reqs[i], &resps[i])
+		}
+		i = j
 	}
+}
+
+func isWrite(op byte) bool { return op == potserve.OpPut || op == potserve.OpDel }
+
+// execOne executes one request that is not a client write.
+func (n *Node) execOne(req *potserve.Request, resp *potserve.Response) {
 	switch req.Op {
 	case potserve.OpGet, potserve.OpScan, potserve.OpPing:
 		n.execRead(req, resp)
-	case potserve.OpPut, potserve.OpDel:
-		n.execWrite(req, resp)
 	case potserve.OpRep:
 		n.execRep(req, resp)
 	case potserve.OpSub:
@@ -368,81 +421,154 @@ func (n *Node) execRead(req *potserve.Request, resp *potserve.Response) {
 	(&potserve.KVBackend{KV: n.KV}).Exec(req, resp)
 }
 
-// execWrite runs the replicated commit: ownership check, local durable
-// apply + log append under wmu, then a push to every alive peer on its
-// backlog stream, acking the client only at quorum.
-func (n *Node) execWrite(req *potserve.Request, resp *potserve.Response) {
-	t := n.Topology()
-	owner, ok := t.Owner(req.Key)
-	if !ok || owner != n.ID {
-		*resp = potserve.Response{Status: potserve.StatusNotOwner}
-		return
-	}
+// applyScratch is reusable scratch for applying one run of log entries.
+type applyScratch struct {
+	entries []potserve.RepEntry
+	ops     []objstore.BatchOp
+	existed []bool
+}
 
-	// Local durable apply first: the entry must be on stable storage here
-	// before any peer can be told about it, so a quorum ack implies the
-	// entry is durable on every acking node including the coordinator. wmu
-	// keeps per-key apply order equal to log order and is released before
-	// any network traffic. The apply runs in a closure with deferred
-	// unlocks: a crash signal out of the KV must not strand the mutex, or
-	// every later handler (and Server.Close, which waits for them) hangs.
-	del := req.Op == potserve.OpDel
-	var created, existed bool
-	var entry potserve.RepEntry
-	var epoch uint64
-	err := func() error {
-		n.wmu.Lock()
-		defer n.wmu.Unlock()
-		var err error
-		if del {
-			existed, err = n.KV.Delete(req.Key)
-		} else {
-			created, err = n.KV.Put(req.Key, req.Val)
+// originApply serializes one origin's follower applies and holds their
+// scratch.
+type originApply struct {
+	mu sync.Mutex
+	sc applyScratch
+}
+
+// applyEntries applies a run of origin's log entries, in seq order and
+// contiguous with the origin's watermark, in local transactions of at most
+// applyChunk entries each. Each chunk reaches the applied log and the
+// watermark only after its transaction commits, so a watermark (and with
+// it any ack) never runs ahead of durable state. When existed is non-nil,
+// existed[i] reports whether entry i's key was present before it. It
+// returns how many entries were applied; on error, the entries from the
+// failed chunk on are not.
+func (n *Node) applyEntries(origin uint32, entries []potserve.RepEntry, senderEpoch, nodeEpoch uint64, existed []bool, sc *applyScratch) (int, error) {
+	for done := 0; done < len(entries); {
+		end := min(done+n.applyChunk, len(entries))
+		chunk := entries[done:end]
+		ops := sc.ops[:0]
+		for _, e := range chunk {
+			ops = append(ops, objstore.BatchOp{Key: e.Key, Val: e.Val, Del: e.Del})
 		}
-		if err != nil {
-			return err
+		sc.ops = ops
+		var hit []bool
+		if existed != nil {
+			hit = existed[done:end]
+		}
+		if err := n.KV.Batch(ops, hit); err != nil {
+			return done, err
 		}
 		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.seq++
-		epoch = n.topo.Epoch()
-		entry = potserve.RepEntry{Seq: n.seq, Epoch: epoch, Key: req.Key, Val: req.Val, Del: del}
-		n.watermark[n.ID] = entry.Seq
-		n.applied[n.ID] = append(n.applied[n.ID], Applied{
-			RepEntry: entry, Origin: n.ID, SenderEpoch: epoch, NodeEpoch: epoch,
-		})
-		return nil
+		for _, e := range chunk {
+			n.applied[origin] = append(n.applied[origin], Applied{
+				RepEntry: e, Origin: origin, SenderEpoch: senderEpoch, NodeEpoch: nodeEpoch,
+			})
+		}
+		last := chunk[len(chunk)-1].Seq
+		n.watermark[origin] = last
+		if origin == n.ID {
+			n.seq = last
+		}
+		n.mu.Unlock()
+		done = end
+	}
+	return len(entries), nil
+}
+
+// execWrites runs the replicated commit for a run of client writes as one
+// unit: ownership check per key; the owned writes applied under wmu in
+// local transactions (one for any run of up to applyChunk writes) and
+// appended to the own log, in run order; then one backlog push to every
+// alive peer; then each write judged against quorum. Each write's response
+// waits for its quorum ack, and the ack follows the write's local commit.
+func (n *Node) execWrites(reqs []potserve.Request, resps []potserve.Response) {
+	var (
+		t     Topology
+		first uint64 // seq of the run's first logged write
+		count int    // logged writes: seqs first .. first+count-1
+	)
+	func() {
+		// Local durable apply first: an entry must be on stable storage
+		// here before any peer can be told about it, so a quorum ack
+		// implies the entry is durable on every acking node including the
+		// coordinator. wmu keeps per-key apply order equal to log order and
+		// is released before any network traffic. Deferred unlocks: a
+		// crash signal out of the KV must not strand the mutex, or every
+		// later handler (and Server.Close, which waits for them) hangs.
+		n.wmu.Lock()
+		defer n.wmu.Unlock()
+		t = n.Topology()
+		epoch := t.Epoch()
+		sc := &n.wscratch
+		ents := sc.entries[:0]
+		first = n.Seq() + 1 // only wmu holders advance the own log
+		for i := range reqs {
+			r := &reqs[i]
+			if owner, ok := t.Owner(r.Key); !ok || owner != n.ID {
+				resps[i] = potserve.Response{Status: potserve.StatusNotOwner}
+				continue
+			}
+			// An owned write's response starts zeroed and is filled once
+			// the run is applied.
+			resps[i] = potserve.Response{}
+			ents = append(ents, potserve.RepEntry{
+				Seq: first + uint64(len(ents)), Epoch: epoch, Key: r.Key, Val: r.Val, Del: r.Op == potserve.OpDel,
+			})
+		}
+		sc.entries = ents
+		if cap(sc.existed) < len(ents) {
+			sc.existed = make([]bool, len(ents))
+		}
+		existed := sc.existed[:len(ents)]
+		var err error
+		count, err = n.applyEntries(n.ID, ents, epoch, epoch, existed, sc)
+		k := 0
+		for i := range reqs {
+			if resps[i].Status == potserve.StatusNotOwner {
+				continue
+			}
+			switch {
+			case k >= count:
+				resps[i] = potserve.Response{Status: potserve.StatusErr, Msg: err.Error()}
+			case reqs[i].Op == potserve.OpDel && !existed[k]:
+				resps[i].Status = potserve.StatusNotFound
+			case reqs[i].Op == potserve.OpPut:
+				resps[i].Created = !existed[k]
+			}
+			k++
+		}
 	}()
-	if err != nil {
-		*resp = potserve.Response{Status: potserve.StatusErr, Msg: err.Error()}
+	if count == 0 {
 		return
 	}
-	n.tracker.Ack(entry.Seq, n.ID)
+	last := first + uint64(count) - 1
+	n.tracker.Ack(last, n.ID)
 
-	// Push the backlog to every alive peer; each REP response is that
-	// peer's durable watermark for our log — the ack.
+	// One push per alive peer carries the whole run (and any backlog
+	// queued behind it); each REP response is that peer's durable
+	// watermark for our log — the ack.
 	for _, tn := range t.Wire.Nodes {
 		if tn.ID == n.ID || !tn.Alive {
 			continue
 		}
-		n.pushBacklog(tn, entry.Seq, epoch)
+		n.pushBacklog(tn, last, t.Epoch())
 	}
 
-	if !n.tracker.Durable(entry.Seq) {
-		// The write may be durable on a minority; without quorum it is NOT
-		// acknowledged and the client must treat it as possibly-lost.
-		*resp = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: write did not reach quorum"}
-		return
-	}
-	if del {
-		if existed {
-			*resp = potserve.Response{Status: potserve.StatusOK}
-		} else {
-			*resp = potserve.Response{Status: potserve.StatusNotFound}
+	// Judge each logged write — exactly the responses still OK or
+	// NotFound, the k-th of them holding seq first+k. A write without
+	// quorum may be durable on a minority; it is NOT acknowledged and the
+	// client must treat it as possibly lost.
+	var k uint64
+	for i := range resps {
+		if st := resps[i].Status; st != potserve.StatusOK && st != potserve.StatusNotFound {
+			continue
 		}
-		return
+		if !n.tracker.Durable(first + k) {
+			resps[i] = potserve.Response{Status: potserve.StatusErr, Msg: "cluster: write did not reach quorum"}
+		}
+		k++
 	}
-	*resp = potserve.Response{Status: potserve.StatusOK, Created: created}
 }
 
 // pushBacklog sends this node's log entries past the peer's confirmed
@@ -481,10 +607,11 @@ func (n *Node) pushBacklog(tn potserve.TopoNode, seq, epoch uint64) {
 		if end-idx > uint64(potserve.MaxRepEntries) {
 			end = idx + uint64(potserve.MaxRepEntries)
 		}
-		entries := make([]potserve.RepEntry, 0, end-idx)
+		entries := ps.frame[:0]
 		for _, a := range log[idx:end] {
 			entries = append(entries, a.RepEntry)
 		}
+		ps.frame = entries
 		n.mu.Unlock()
 		if len(entries) == 0 {
 			return
@@ -513,23 +640,28 @@ func (n *Node) pushBacklog(tn potserve.TopoNode, seq, epoch uint64) {
 	}
 }
 
-// originLock returns the apply lock for one origin's log.
-func (n *Node) originLock(origin uint32) *sync.Mutex {
-	v, _ := n.repmu.LoadOrStore(origin, &sync.Mutex{})
-	return v.(*sync.Mutex)
+// originState returns the follower apply state of one origin's log.
+func (n *Node) originState(origin uint32) *originApply {
+	v, _ := n.origins.LoadOrStore(origin, &originApply{})
+	return v.(*originApply)
 }
 
 // execRep is the follower state machine: apply an origin's entries in
 // sequence order exactly once, refuse stale-epoch senders, answer the
-// durable watermark.
+// durable watermark. A frame's duplicate prefix is skipped, the in-order
+// run after it is applied in chunked transactions, and everything from the
+// first gap on is left for the sender to re-send from the watermark.
 func (n *Node) execRep(req *potserve.Request, resp *potserve.Response) {
-	lk := n.originLock(req.Origin)
-	lk.Lock()
-	defer lk.Unlock()
+	n.repFrames.Add(1)
+	n.repEntries.Add(uint64(len(req.Entries)))
+	st := n.originState(req.Origin)
+	st.mu.Lock()
+	defer st.mu.Unlock()
 
 	n.mu.Lock()
 	nodeEpoch := n.topo.Epoch()
 	mutated := n.splitBrainMutation
+	w := n.watermark[req.Origin]
 	n.mu.Unlock()
 
 	// Epoch fence: a sender below our epoch is a deposed primary (or a
@@ -542,38 +674,20 @@ func (n *Node) execRep(req *potserve.Request, resp *potserve.Response) {
 		return
 	}
 
-	origin := req.Origin
-	for _, e := range req.Entries {
-		n.mu.Lock()
-		w := n.watermark[origin]
-		n.mu.Unlock()
-		if e.Seq <= w {
-			continue // duplicate delivery; applies are exactly-once
-		}
-		if e.Seq != w+1 {
-			break // gap: answer the watermark, the sender re-sends from there
-		}
-		var err error
-		if e.Del {
-			_, err = n.KV.Delete(e.Key)
-		} else {
-			_, err = n.KV.Put(e.Key, e.Val)
-		}
-		if err != nil {
-			*resp = potserve.Response{Status: potserve.StatusErr, Msg: err.Error()}
-			return
-		}
-		n.mu.Lock()
-		n.watermark[origin] = e.Seq
-		n.applied[origin] = append(n.applied[origin], Applied{
-			RepEntry: e, Origin: origin, SenderEpoch: req.Epoch, NodeEpoch: nodeEpoch,
-		})
-		n.mu.Unlock()
+	ents := req.Entries
+	i := 0
+	for i < len(ents) && ents[i].Seq <= w {
+		i++ // duplicate delivery; applies are exactly-once
 	}
-	n.mu.Lock()
-	w := n.watermark[origin]
-	n.mu.Unlock()
-	*resp = potserve.Response{Status: potserve.StatusOK, Seq: w}
+	j := i
+	for j < len(ents) && ents[j].Seq == w+uint64(j-i)+1 {
+		j++
+	}
+	if _, err := n.applyEntries(req.Origin, ents[i:j], req.Epoch, nodeEpoch, nil, &st.sc); err != nil {
+		*resp = potserve.Response{Status: potserve.StatusErr, Msg: err.Error()}
+		return
+	}
+	*resp = potserve.Response{Status: potserve.StatusOK, Seq: n.Watermark(req.Origin)}
 }
 
 // execSub answers an origin's applied log suffix (catch-up stream), at

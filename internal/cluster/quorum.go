@@ -2,65 +2,74 @@ package cluster
 
 import "sync"
 
-// Tracker counts per-sequence durability acks for one origin's log and
-// answers "is seq durable on a quorum?". The primary records its own local
-// commit and every follower ack; entries at or below the committed
-// watermark are forgotten, so the map holds only in-flight sequences.
+// Tracker answers "is seq of one origin's log durable on a quorum?". Every
+// ack is a cumulative watermark — node holds the log durably through seq —
+// so the tracker keeps only the highest watermark per node: seq is durable
+// once at least quorum nodes report a watermark >= seq. The primary records
+// its own local commit and every follower ack.
 type Tracker struct {
-	mu        sync.Mutex
-	quorum    int
-	acks      map[uint64]map[uint32]struct{}
-	committed uint64 // every seq <= committed reached quorum
+	mu     sync.Mutex
+	quorum int
+	marks  []nodeMark
 }
 
-// NewTracker returns a tracker requiring the given ack count per sequence.
+// nodeMark is one node's highest acknowledged watermark.
+type nodeMark struct {
+	node uint32
+	seq  uint64
+}
+
+// NewTracker returns a tracker requiring the given number of nodes per
+// sequence.
 func NewTracker(quorum int) *Tracker {
-	return &Tracker{quorum: quorum, acks: make(map[uint64]map[uint32]struct{})}
+	return &Tracker{quorum: quorum}
 }
 
 // Ack records that node holds origin's log durably through seq (a watermark:
-// it covers every sequence at or below seq).
+// it covers every sequence at or below seq). A repeated or out-of-order ack
+// below the node's known watermark changes nothing.
 func (t *Tracker) Ack(seq uint64, node uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for s := t.committed + 1; s <= seq; s++ {
-		m := t.acks[s]
-		if m == nil {
-			m = make(map[uint32]struct{})
-			t.acks[s] = m
-		}
-		m[node] = struct{}{}
-	}
-	t.advance()
-}
-
-// advance slides the committed watermark over every consecutive sequence
-// that reached quorum, releasing its ack set.
-func (t *Tracker) advance() {
-	for {
-		m, ok := t.acks[t.committed+1]
-		if !ok || len(m) < t.quorum {
+	for i := range t.marks {
+		if t.marks[i].node == node {
+			if seq > t.marks[i].seq {
+				t.marks[i].seq = seq
+			}
 			return
 		}
-		delete(t.acks, t.committed+1)
-		t.committed++
 	}
+	t.marks = append(t.marks, nodeMark{node: node, seq: seq})
 }
 
 // Durable reports whether seq has reached quorum.
 func (t *Tracker) Durable(seq uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if seq <= t.committed {
-		return true
+	return t.atLeast(seq) >= t.quorum
+}
+
+// atLeast counts the nodes whose watermark is at or above seq.
+func (t *Tracker) atLeast(seq uint64) int {
+	n := 0
+	for _, m := range t.marks {
+		if m.seq >= seq {
+			n++
+		}
 	}
-	return len(t.acks[seq]) >= t.quorum
+	return n
 }
 
 // Committed returns the highest watermark below which every sequence is
-// durable on a quorum.
+// durable on a quorum: the quorum-th largest node watermark.
 func (t *Tracker) Committed() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.committed
+	var best uint64
+	for _, m := range t.marks {
+		if m.seq > best && t.atLeast(m.seq) >= t.quorum {
+			best = m.seq
+		}
+	}
+	return best
 }

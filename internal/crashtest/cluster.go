@@ -11,6 +11,7 @@ import (
 	"potgo/internal/nvmsim"
 	"potgo/internal/objstore"
 	"potgo/internal/pds"
+	"potgo/internal/potserve"
 )
 
 // The cluster campaign kills a WHOLE NODE mid-replication — an armed
@@ -50,10 +51,18 @@ func clusterWorkerUID(worker, op int) uint64 {
 	return uint64(worker+1)<<24 | uint64(op+1)
 }
 
+// clusterDepth is the workers' pipeline depth: each worker sends its ops
+// in routed batches of this many, so every owner executes a run of writes
+// as one local transaction and one replication push, and an armed crash
+// can land inside a multi-write run.
+const clusterDepth = 4
+
 // runClusterWorkers drives concurrent routing clients against the cluster
-// until every worker finishes or gives up on the dying segment. Errors are
-// forgiven once any member is dead — the machine died under the client —
-// and fatal otherwise.
+// until every worker finishes or gives up on the dying segment. Each
+// worker pipelines its ops clusterDepth at a time and acknowledges every
+// write its answered batch reports as done. Errors — a failed batch or a
+// refused write — are forgiven once any member is dead (the machine died
+// under the client) and fatal otherwise.
 func runClusterWorkers(cl *cluster.Cluster, rec *lincheck.ClusterRecorder, opt CampaignOptions) error {
 	anyDead := func() bool {
 		for _, m := range cl.Members {
@@ -77,46 +86,45 @@ func runClusterWorkers(cl *cluster.Cluster, rec *lincheck.ClusterRecorder, opt C
 				return
 			}
 			defer c.Close()
-			fail := func(what string, err error) bool {
-				if err == nil {
-					return false
-				}
-				if !anyDead() {
-					errs[wi] = fmt.Errorf("worker %d %s: %w", wi, what, err)
-					return true
-				}
-				return false // casualty of the kill: unacked, keep going
-			}
 			rng := rand.New(rand.NewSource(int64(mix64(opt.Seed ^ uint64(wi+101)))))
-			for i := 0; i < opt.OpsPerWorker; i++ {
-				key := uint64(rng.Intn(opt.KeySpace) + 1)
-				switch rng.Intn(10) {
-				case 0: // delete
-					p := rec.Begin(key, 0, true)
-					_, err := c.Delete(key)
-					if err != nil {
-						if fail("delete", err) {
+			reqs := make([]potserve.Request, 0, clusterDepth)
+			pend := make([]lincheck.ClusterPending, 0, clusterDepth)
+			for i := 0; i < opt.OpsPerWorker; i += clusterDepth {
+				reqs, pend = reqs[:0], pend[:0]
+				for j := i; j < min(i+clusterDepth, opt.OpsPerWorker); j++ {
+					key := uint64(rng.Intn(opt.KeySpace) + 1)
+					switch rng.Intn(10) {
+					case 0: // delete
+						reqs = append(reqs, potserve.Request{Op: potserve.OpDel, Key: key})
+						pend = append(pend, rec.Begin(key, 0, true))
+					case 1, 2: // read
+						reqs = append(reqs, potserve.Request{Op: potserve.OpGet, Key: key})
+						pend = append(pend, lincheck.ClusterPending{})
+					default: // put, value = globally unique uid
+						uid := clusterWorkerUID(wi, j)
+						reqs = append(reqs, potserve.Request{Op: potserve.OpPut, Key: key, Val: uid})
+						pend = append(pend, rec.Begin(key, uid, false))
+					}
+				}
+				resps, err := c.Pipeline(reqs)
+				if err != nil {
+					if !anyDead() {
+						errs[wi] = fmt.Errorf("worker %d batch at op %d: %w", wi, i, err)
+						return
+					}
+					continue // casualty of the kill: the whole batch is unacked
+				}
+				for j, resp := range resps {
+					switch {
+					case resp.Status == potserve.StatusErr || resp.Status == potserve.StatusCorrupt:
+						if !anyDead() {
+							errs[wi] = fmt.Errorf("worker %d op %d (op code %d, key %d): status %d: %s",
+								wi, i+j, reqs[j].Op, reqs[j].Key, resp.Status, resp.Msg)
 							return
 						}
-						continue
+					case reqs[j].Op != potserve.OpGet:
+						rec.Acked(pend[j])
 					}
-					rec.Acked(p)
-				case 1, 2: // read
-					if _, _, err := c.Get(key); err != nil {
-						if fail("get", err) {
-							return
-						}
-					}
-				default: // put, value = globally unique uid
-					uid := clusterWorkerUID(wi, i)
-					p := rec.Begin(key, uid, false)
-					if _, err := c.Put(key, uid); err != nil {
-						if fail("put", err) {
-							return
-						}
-						continue
-					}
-					rec.Acked(p)
 				}
 			}
 		}(wi)

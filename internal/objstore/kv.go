@@ -25,9 +25,9 @@ type KV struct {
 	// mirror cannot serve a walk. On by CreateKV/OpenKV default; the
 	// latched-baseline constructors leave it off.
 	mvcc bool
-	// journaled arms the crash-verification protocol: Put/Delete append to
-	// a per-shard volatile journal under the shard lock and bump the
-	// shard's persistent op counter inside the transaction (see
+	// journaled arms the crash-verification protocol: Put, Delete and
+	// Batch append to a per-shard volatile journal under the shard lock and
+	// bump the shard's persistent op counter inside the transaction (see
 	// EnableJournal).
 	journaled bool
 	// fallbacks counts MVCC reads that could not ride the snapshot path
@@ -52,6 +52,16 @@ type kvShard struct {
 	// journal is the volatile commit-order op journal of journaled mode,
 	// appended under the shard's write lock inside the transaction.
 	journal []BatchOp
+	// jmark is the journal length when the current transaction began:
+	// what an abort truncates the journal back to.
+	jmark int
+}
+
+// bind attaches the shard's write ctx to t and marks the journal length
+// an abort restores. Caller holds the shard's write lock.
+func (s *kvShard) bind(t *pmem.Tx) {
+	s.wctx.bind(t)
+	s.jmark = len(s.journal)
 }
 
 // kvPoolBytes sizes each shard pool. The B+-tree allocates ~72-byte nodes;
@@ -60,6 +70,23 @@ type kvShard struct {
 const (
 	kvPoolBytes = 4 << 20
 	kvLogBytes  = 256 * 1024
+)
+
+// MaxBatchOps is the longest Batch guaranteed to fit the undo log, whatever
+// its ops do. A B+-tree op snapshots at most two nodes per level and logs
+// one alloc or free record per level (a split's node and its new sibling,
+// or a merge's node and the sibling it absorbs; the parent is the next
+// level's node), plus an allocated and snapshotted new root and the anchor
+// cell when the height changes; a journaled shard adds its op counter once
+// per transaction. A 4 MiB pool holds fewer than 2·4^7 nodes and a
+// non-root internal node has at least four children, so no tree is taller
+// than kvMaxHeight levels.
+const (
+	undoRecHeader = 24 // pmem undo-record header
+	undoNode      = undoRecHeader + pds.BPNodeSize
+	kvMaxHeight   = 8
+	opUndoBytes   = kvMaxHeight*(2*undoNode+undoRecHeader) + (undoNode + undoRecHeader) + 2*(undoRecHeader+8)
+	MaxBatchOps   = (kvLogBytes - 16) / opUndoBytes
 )
 
 func kvPoolName(prefix string, i int) string { return fmt.Sprintf("%s-%d", prefix, i) }
@@ -129,6 +156,17 @@ func (kv *KV) seedShard(s *kvShard) error {
 	})
 }
 
+// maxKVShards bounds a store's shard count: a Batch names the shards it
+// involves in one 64-bit mask.
+const maxKVShards = 64
+
+func allocKV(sh *pmem.Sharded) (*KV, error) {
+	if n := sh.Shards(); n > maxKVShards {
+		return nil, fmt.Errorf("objstore: %d shards exceed the %d a KV supports", n, maxKVShards)
+	}
+	return &KV{sh: sh, shards: make([]kvShard, sh.Shards())}, nil
+}
+
 // CreateKV creates one pool per heap shard (named prefix-0 … prefix-N-1)
 // and plants an empty B+-tree in each. Snapshot (MVCC) reads are enabled:
 // Get/Scan pin an epoch and traverse latch-free. CreateKVLatched builds
@@ -147,7 +185,10 @@ func CreateKV(sh *pmem.Sharded, prefix string) (*KV, error) {
 // CreateKVLatched is CreateKV without the snapshot-read path: every Get
 // and Scan takes shard read locks. The read-heavy benchmark baseline.
 func CreateKVLatched(sh *pmem.Sharded, prefix string) (*KV, error) {
-	kv := &KV{sh: sh, shards: make([]kvShard, sh.Shards())}
+	kv, err := allocKV(sh)
+	if err != nil {
+		return nil, err
+	}
 	for i := range kv.shards {
 		p, err := sh.CreateSized(kvPoolName(prefix, i), kvPoolBytes, kvLogBytes)
 		if err != nil {
@@ -168,7 +209,10 @@ func CreateKVLatched(sh *pmem.Sharded, prefix string) (*KV, error) {
 // and scrubbing can be enabled immediately. Subsequent Puts/Deletes
 // maintain checksums and parity inside their commit fences.
 func CreateKVFT(sh *pmem.Sharded, prefix string) (*KV, error) {
-	kv := &KV{sh: sh, shards: make([]kvShard, sh.Shards())}
+	kv, err := allocKV(sh)
+	if err != nil {
+		return nil, err
+	}
 	for i := range kv.shards {
 		p, err := sh.CreateSizedFT(kvPoolName(prefix, i), kvPoolBytes, kvLogBytes)
 		if err != nil {
@@ -193,7 +237,10 @@ func CreateKVFT(sh *pmem.Sharded, prefix string) (*KV, error) {
 // first, then every undo log is recovered, so a multi-pool batch
 // interrupted by a crash rolls back completely before any tree is read.
 func OpenKV(sh *pmem.Sharded, prefix string) (*KV, error) {
-	kv := &KV{sh: sh, shards: make([]kvShard, sh.Shards())}
+	kv, err := allocKV(sh)
+	if err != nil {
+		return nil, err
+	}
 	for i := range kv.shards {
 		p, err := sh.Open(kvPoolName(prefix, i))
 		if err != nil {
@@ -257,16 +304,17 @@ func (kv *KV) Reprime() error {
 func (kv *KV) shardOf(key uint64) *kvShard { return &kv.shards[key%uint64(len(kv.shards))] }
 
 // EnableJournal arms the crash-verification protocol: from now on every
-// Put/Delete appends its op to the owning shard's volatile journal (under
-// the shard write lock, so journal order is commit order) and bumps the
-// shard's persistent op counter inside the same transaction. After a
-// simulated crash the invariant acked <= counter <= len(journal) holds per
-// shard, and replaying the journal's counter-length prefix reproduces the
-// recovered state exactly (see internal/crashtest).
+// op of a Put, Delete or Batch appends itself to the owning shard's
+// volatile journal (under the shard write lock, so journal order is commit
+// order) and bumps the shard's persistent op counter inside the same
+// transaction. After a simulated crash the invariant acked <= counter <=
+// len(journal) holds per shard, and replaying the journal's counter-length
+// prefix reproduces the recovered state exactly (see internal/crashtest).
 func (kv *KV) EnableJournal() { kv.journaled = true }
 
-// Journal returns shard i's volatile op journal (commit order; at most the
-// last entry may be uncommitted after a crash).
+// Journal returns shard i's volatile op journal (commit order; after a
+// crash at most one uncommitted transaction's ops — a single op, or one
+// batch's ops for this shard — may trail the committed prefix).
 func (kv *KV) Journal(i int) []BatchOp { return kv.shards[i].journal }
 
 // Counter reads shard i's persistent op counter.
@@ -357,64 +405,78 @@ func (kv *KV) getRepair(s *kvShard, key uint64, derefErr error) (uint64, bool, e
 // overwrite path — the steady state of a bounded-keyspace workload — is
 // allocation-free end to end; only inserts (tree growth) allocate.
 func (kv *KV) Put(key, val uint64) (created bool, err error) {
-	s := kv.shardOf(key)
-	kv.sh.LockPool(s.pool.ID())
-	defer kv.sh.UnlockPool(s.pool.ID())
-	jlen := len(s.journal)
-	t, err := kv.sh.Heap().Begin(s.pool)
-	if err != nil {
-		return false, err
-	}
-	s.wctx.bind(t)
-	updated, err := s.tree.UpdateFast(&s.wctx, key, val)
-	if err == nil && !updated {
-		created = true
-		err = s.tree.Insert(&s.wctx, key, val)
-	}
-	if err == nil && kv.journaled {
-		err = kv.journalOp(s, BatchOp{Key: key, Val: val})
-	}
-	if err != nil {
-		// An aborted op must not leave a dead journal entry behind: later
-		// committed ops would land after it and misalign every replay
-		// prefix. (A crashed commit is different — its entry stays as the
-		// at-most-one uncommitted journal tail.)
-		if kv.journaled && len(s.journal) > jlen {
-			s.journal = s.journal[:jlen]
-		}
-		if aerr := t.Abort(); aerr != nil {
-			return false, fmt.Errorf("%w (abort also failed: %v)", err, aerr)
-		}
-		return false, err
-	}
-	return created, t.Commit()
+	existed, err := kv.writeOne(BatchOp{Key: key, Val: val})
+	return !existed, err
 }
 
 // Delete removes key, reporting whether it was present.
 func (kv *KV) Delete(key uint64) (existed bool, err error) {
-	s := kv.shardOf(key)
+	return kv.writeOne(BatchOp{Key: key, Del: true})
+}
+
+// writeOne runs one op in its own single-shard transaction and reports
+// whether the key was present before it.
+func (kv *KV) writeOne(op BatchOp) (existed bool, err error) {
+	i := int(op.Key % uint64(len(kv.shards)))
+	s := &kv.shards[i]
 	kv.sh.LockPool(s.pool.ID())
 	defer kv.sh.UnlockPool(s.pool.ID())
-	jlen := len(s.journal)
 	t, err := kv.sh.Heap().Begin(s.pool)
 	if err != nil {
 		return false, err
 	}
-	s.wctx.bind(t)
-	existed, err = s.tree.Remove(&s.wctx, key)
-	if err == nil && kv.journaled {
-		err = kv.journalOp(s, BatchOp{Key: key, Del: true})
-	}
+	s.bind(t)
+	existed, err = kv.applyOp(s, op)
 	if err != nil {
-		if kv.journaled && len(s.journal) > jlen {
-			s.journal = s.journal[:jlen]
-		}
-		if aerr := t.Abort(); aerr != nil {
-			return false, fmt.Errorf("%w (abort also failed: %v)", err, aerr)
-		}
-		return false, err
+		return false, kv.abort(t, 1<<uint(i), err)
 	}
 	return existed, t.Commit()
+}
+
+// abort rolls t back after err and restores the shards in mask: an aborted
+// op must not leave a dead journal entry behind (later committed ops would
+// land after it and misalign every replay prefix — a crashed commit is
+// different, its ops stay as the uncommitted journal tail), and a tree
+// whose split or collapse the rollback undid must drop the root it cached
+// meanwhile. Caller holds the shards' write locks.
+func (kv *KV) abort(t *pmem.Tx, mask uint64, err error) error {
+	for i := range kv.shards {
+		if mask&(1<<uint(i)) != 0 {
+			kv.shards[i].journal = kv.shards[i].journal[:kv.shards[i].jmark]
+		}
+	}
+	if aerr := t.Abort(); aerr != nil {
+		return fmt.Errorf("%w (abort also failed: %v)", err, aerr)
+	}
+	for i := range kv.shards {
+		if mask&(1<<uint(i)) != 0 {
+			tree := kv.shards[i].tree
+			tree.DropCache()
+			if perr := tree.Prime(); perr != nil {
+				return fmt.Errorf("%w (root reload after abort failed: %v)", err, perr)
+			}
+		}
+	}
+	return err
+}
+
+// applyOp runs one op through the shard's already-bound write ctx and, on a
+// journaled store, journals it and bumps the shard's op counter in the
+// same transaction. It reports whether the key was present before the op.
+func (kv *KV) applyOp(s *kvShard, op BatchOp) (existed bool, err error) {
+	if op.Del {
+		existed, err = s.tree.Remove(&s.wctx, op.Key)
+		op.Val = 0
+	} else {
+		existed, err = s.tree.UpdateFast(&s.wctx, op.Key, op.Val)
+		if err == nil && !existed {
+			err = s.tree.Insert(&s.wctx, op.Key, op.Val)
+		}
+	}
+	if err == nil && kv.journaled {
+		err = kv.journalOp(s, op)
+	}
+	return existed, err
 }
 
 // Scan returns up to max key/value pairs with key >= from, in ascending
@@ -497,17 +559,25 @@ type BatchOp struct {
 }
 
 // Batch applies all ops in one crash-atomic transaction spanning every
-// involved shard: either every op is durable or none is. The undo log
-// lives in the lowest involved shard's pool; shard locks are taken in
-// ascending order as always. With at most 64 KV shards the involved set is
-// a stack bitmask and the whole batch (pure overwrites/deletes of leaf-
-// resident keys) allocates nothing.
-func (kv *KV) Batch(ops []BatchOp) error {
+// involved shard: either every op is durable or none is. Ops apply in
+// order, so a later op on a key sees an earlier one's effect. When existed
+// is non-nil (len(existed) >= len(ops)), existed[i] reports whether op i's
+// key was present just before op i: false means a put created the key, or
+// a delete found nothing. On a journaled store every op is journaled and
+// counted inside the transaction, so each involved shard's journal gains
+// the batch's ops for that shard as one contiguous tail and its recovered
+// counter lands either before or after all of them; an aborted batch
+// truncates those tails again.
+//
+// The undo log lives in the lowest involved shard's pool; shard locks are
+// taken in ascending order as always. The involved set is a stack bitmask
+// (a KV has at most 64 shards), so the whole batch (pure overwrites and
+// deletes of leaf-resident keys) allocates nothing. A batch of at most
+// MaxBatchOps ops always fits the undo log; a longer one may abort with
+// an undo-log-full error.
+func (kv *KV) Batch(ops []BatchOp, existed []bool) error {
 	if len(ops) == 0 {
 		return nil
-	}
-	if len(kv.shards) > 64 {
-		return kv.batchSlow(ops)
 	}
 	var involved uint64 // KV shard indices
 	for _, op := range ops {
@@ -533,68 +603,19 @@ func (kv *KV) Batch(ops []BatchOp) error {
 	}
 	for i := range kv.shards {
 		if involved&(1<<uint(i)) != 0 {
-			kv.shards[i].wctx.bind(t)
+			kv.shards[i].bind(t)
 		}
 	}
-	err = kv.applyBatch(ops)
-	if err != nil {
-		if aerr := t.Abort(); aerr != nil {
-			return fmt.Errorf("%w (abort also failed: %v)", err, aerr)
+	for i, op := range ops {
+		had, err := kv.applyOp(kv.shardOf(op.Key), op)
+		if err != nil {
+			return kv.abort(t, involved, err)
 		}
-		return err
+		if existed != nil {
+			existed[i] = had
+		}
 	}
 	return t.Commit()
-}
-
-// applyBatch runs the ops through the already-bound per-shard write ctxs.
-func (kv *KV) applyBatch(ops []BatchOp) error {
-	for _, op := range ops {
-		s := kv.shardOf(op.Key)
-		if op.Del {
-			if _, err := s.tree.Remove(&s.wctx, op.Key); err != nil {
-				return err
-			}
-			continue
-		}
-		updated, err := s.tree.UpdateFast(&s.wctx, op.Key, op.Val)
-		if err != nil {
-			return err
-		}
-		if !updated {
-			if err := s.tree.Insert(&s.wctx, op.Key, op.Val); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// batchSlow is Batch for stores sharded past the 64-bit mask, using the
-// closure-based multi-pool transaction entry.
-func (kv *KV) batchSlow(ops []BatchOp) error {
-	involved := make(map[*kvShard]bool, len(ops))
-	for _, op := range ops {
-		involved[kv.shardOf(op.Key)] = true
-	}
-	var logShard *kvShard
-	var extra []oid.PoolID
-	for i := range kv.shards {
-		s := &kv.shards[i]
-		if !involved[s] {
-			continue
-		}
-		if logShard == nil {
-			logShard = s
-		} else {
-			extra = append(extra, s.pool.ID())
-		}
-	}
-	return kv.sh.Tx(logShard.pool, extra, func(t *pmem.Tx) error {
-		for s := range involved {
-			s.wctx.bind(t)
-		}
-		return kv.applyBatch(ops)
-	})
 }
 
 // Check runs every shard tree's invariant sweep and returns the total key

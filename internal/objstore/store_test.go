@@ -3,6 +3,7 @@ package objstore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -78,16 +79,23 @@ func TestKVBatchCrossShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One batch touching every shard: upserts and deletes together.
+	// One batch touching every shard: upserts and deletes together, with a
+	// repeated key to show ops apply in order.
+	existed := make([]bool, 7)
 	err := kv.Batch([]BatchOp{
 		{Key: 1, Val: 100},
 		{Key: 2, Del: true},
 		{Key: 3, Val: 300},
 		{Key: 4, Del: true},
 		{Key: 101, Val: 1010}, // created by the batch
-	})
+		{Key: 2, Del: true},   // already deleted above
+		{Key: 101, Val: 1010}, // now an overwrite
+	}, existed)
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
+	}
+	if want := []bool{true, true, true, true, false, false, true}; !slices.Equal(existed, want) {
+		t.Fatalf("Batch existed = %v, want %v", existed, want)
 	}
 	want := map[uint64]uint64{1: 100, 3: 300, 5: 5, 6: 6, 7: 7, 8: 8, 101: 1010}
 	for k := uint64(1); k <= 101; k++ {

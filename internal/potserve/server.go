@@ -12,7 +12,6 @@ import (
 
 	"potgo/internal/objstore"
 	"potgo/internal/obs"
-	"potgo/internal/pds"
 	"potgo/internal/pmem"
 )
 
@@ -35,17 +34,38 @@ type Backend interface {
 	Exec(req *Request, resp *Response)
 }
 
+// BatchBackend is a Backend that can execute a connection's burst of
+// pipelined requests as one unit. ExecBatch fills resps[i] for reqs[i]
+// (len(resps) == len(reqs)) with the same per-request results and the same
+// per-connection order as calling Exec on each request in turn; what it
+// may share across the burst is cost — one transaction, one replication
+// round trip. A plain Backend gets Exec once per request instead.
+type BatchBackend interface {
+	Backend
+	ExecBatch(reqs []Request, resps []Response)
+}
+
+// maxBurst caps how many already-buffered requests the server gathers into
+// one batch before executing it: large enough to carry a client's whole
+// pipeline window, small enough that the batch's scratch stays small and
+// a burst's first response is not held back for long.
+const maxBurst = 64
+
 // Server serves the potserve wire protocol over a Backend. One goroutine
-// per connection executes that connection's requests in arrival order
-// (pipelined: responses accumulate in a per-connection buffer and are
-// written with one conn.Write when the connection has no further request
-// ready), while different connections run concurrently — the sharded heap
-// below provides the isolation.
+// per connection runs a gather → execute → encode loop: it decodes every
+// request frame already buffered on the connection (up to maxBurst) into a
+// batch, executes the batch — as one ExecBatch call when the backend is a
+// BatchBackend, otherwise one Exec per request in order — and appends the
+// responses in order to a per-connection buffer, written with one
+// conn.Write when the connection has no further request ready. Different
+// connections run concurrently — the sharded heap below provides the
+// isolation.
 //
 // The request path performs zero heap allocations per request in steady
-// state: the frame buffer, decoded Request (including its TX ops), Response
-// (including its scan result) and the outgoing response buffer all live for
-// the connection and are reused; metric handles are resolved once at Serve,
+// state: the frame buffer, the batch's decoded Requests (including their
+// TX ops), Responses (including their scan results) and the outgoing
+// response buffer all live for the connection and are reused, growing only
+// to the largest burst seen; metric handles are resolved once at Serve,
 // not per request. TestServeAllocs gates this.
 type Server struct {
 	backend Backend
@@ -198,50 +218,78 @@ func (s *Server) handle(c net.Conn) {
 	defer c.Close()
 
 	br := bufio.NewReader(c)
-	// Connection-lifetime scratch: the frame buffer, the decoded request
-	// (whose Ops slice is the TX scratch), the response (whose KVs slice is
-	// the scan scratch) and the outgoing byte buffer.
+	batcher, _ := s.backend.(BatchBackend)
+	// Connection-lifetime scratch: the frame buffer, the batch's decoded
+	// requests (whose Ops slices are the TX scratch) and responses (whose
+	// KVs slices are the scan scratch), per-slot decode errors, and the
+	// outgoing byte buffer.
 	var (
-		frame []byte
-		req   Request
-		resp  Response
-		out   []byte
-		caps  [4]int // previous capacities, for the buf_grows counter
+		frame  []byte
+		reqs   []Request
+		resps  []Response
+		bad    []error
+		out    []byte
+		scaps  [2]int // previous frame/out capacities, for buf_grows
+		batchc int    // previous total batch-scratch capacity, for buf_grows
 	)
 	for {
-		var err error
-		frame, err = ReadFrameInto(br, frame)
-		if err != nil {
-			// A clean EOF between frames is the peer hanging up; anything
-			// else (truncation, oversized prefix) is a protocol error and
-			// the connection is beyond recovery either way.
-			if !errors.Is(err, io.EOF) {
-				s.protoErrs.Add(1)
+		// Gather: block for one frame, then take every frame already
+		// buffered behind it.
+		n := 0
+		for n == 0 || (n < maxBurst && br.Buffered() > 0) {
+			var err error
+			frame, err = ReadFrameInto(br, frame)
+			if err != nil {
+				// A clean EOF between frames is the peer hanging up;
+				// anything else (truncation, oversized prefix) is a
+				// protocol error and the connection is beyond recovery
+				// either way. Requests already gathered die with it, as
+				// their responses could not be delivered.
+				if !errors.Is(err, io.EOF) {
+					s.protoErrs.Add(1)
+				}
+				return
 			}
-			return
+			if n == len(reqs) {
+				reqs = append(reqs, Request{})
+				resps = append(resps, Response{})
+				bad = append(bad, nil)
+			}
+			// A frame that fails to decode keeps its slot: the frame
+			// boundary survived, so the stream is still in sync and the
+			// slot is answered StatusErr in order.
+			bad[n] = DecodeRequestInto(frame, &reqs[n])
+			n++
 		}
-		if err := DecodeRequestInto(frame, &req); err != nil {
-			// The frame boundary survived, so the stream is still in sync:
-			// answer StatusErr and keep the connection.
-			s.protoErrs.Add(1)
-			out = appendErrFrame(out, err.Error())
-		} else {
-			start := time.Now()
-			s.backend.Exec(&req, &resp)
-			s.latHist[req.Op].Observe(float64(time.Since(start).Microseconds()))
-			s.reqCount[req.Op].Add(1)
-			if resp.Status == StatusErr {
-				s.reqErrs.Add(1)
+
+		// Execute: maximal runs of decoded requests, in order.
+		for i := 0; i < n; {
+			if bad[i] != nil {
+				i++
+				continue
 			}
-			if resp.Status == StatusCorrupt {
-				s.corrupts.Add(1)
+			j := i + 1
+			for j < n && bad[j] == nil {
+				j++
 			}
-			out, err = AppendResponseFrame(out, req.Op, resp)
+			s.exec(batcher, reqs[i:j], resps[i:j])
+			i = j
+		}
+
+		// Encode in order.
+		for i := 0; i < n; i++ {
+			if bad[i] != nil {
+				s.protoErrs.Add(1)
+				out = appendErrFrame(out, bad[i].Error())
+				continue
+			}
+			var err error
+			out, err = AppendResponseFrame(out, reqs[i].Op, resps[i])
 			if err != nil {
 				out = appendErrFrame(out, err.Error())
 			}
 		}
-		s.noteGrowth(&caps, frame, req.Ops, resp.KVs, out)
+		s.noteGrowth(&scaps, &batchc, frame, out, reqs[:n], resps[:n])
 		// Pipelining: only write when no further request is already
 		// buffered (a burst of N requests costs one syscall of responses,
 		// while a lone request is answered immediately), or when the
@@ -255,17 +303,61 @@ func (s *Server) handle(c net.Conn) {
 	}
 }
 
+// exec runs one run of decoded requests through the backend and records
+// their metrics. A batch's requests each wait for the whole batch, so each
+// is charged the batch's latency.
+func (s *Server) exec(batcher BatchBackend, reqs []Request, resps []Response) {
+	if batcher != nil {
+		start := time.Now()
+		batcher.ExecBatch(reqs, resps)
+		us := float64(time.Since(start).Microseconds())
+		for i := range reqs {
+			s.observe(&reqs[i], &resps[i], us)
+		}
+		return
+	}
+	for i := range reqs {
+		start := time.Now()
+		s.backend.Exec(&reqs[i], &resps[i])
+		s.observe(&reqs[i], &resps[i], float64(time.Since(start).Microseconds()))
+	}
+}
+
+// observe records one executed request's latency, count and error status.
+func (s *Server) observe(req *Request, resp *Response, us float64) {
+	s.latHist[req.Op].Observe(us)
+	s.reqCount[req.Op].Add(1)
+	if resp.Status == StatusErr {
+		s.reqErrs.Add(1)
+	}
+	if resp.Status == StatusCorrupt {
+		s.corrupts.Add(1)
+	}
+}
+
 // noteGrowth bumps the wire-allocation counter whenever a per-connection
-// scratch buffer had to grow; in steady state every capacity is stable and
-// this observes nothing.
-func (s *Server) noteGrowth(caps *[4]int, frame []byte, ops []objstore.BatchOp, kvs []pds.KV, out []byte) {
-	for i, c := range [4]int{cap(frame), cap(ops), cap(kvs), cap(out)} {
+// scratch buffer had to grow: the frame and output buffers, or the batch
+// scratch (request and response slots plus their TX-op and scan-result
+// slices, tracked as one total). In steady state every capacity is stable
+// and this observes nothing.
+func (s *Server) noteGrowth(caps *[2]int, batchCap *int, frame, out []byte, reqs []Request, resps []Response) {
+	for i, c := range [2]int{cap(frame), cap(out)} {
 		if c > caps[i] {
 			if caps[i] > 0 {
 				s.bufGrows.Add(1)
 			}
 			caps[i] = c
 		}
+	}
+	total := cap(reqs) + cap(resps)
+	for i := range reqs {
+		total += cap(reqs[i].Ops) + cap(resps[i].KVs)
+	}
+	if total > *batchCap {
+		if *batchCap > 0 {
+			s.bufGrows.Add(1)
+		}
+		*batchCap = total
 	}
 }
 
@@ -328,7 +420,7 @@ func (b *KVBackend) Exec(req *Request, resp *Response) {
 		}
 		resp.Status = StatusOK
 	case OpTx:
-		if err := b.KV.Batch(req.Ops); err != nil {
+		if err := b.KV.Batch(req.Ops, nil); err != nil {
 			resp.Status, resp.Msg = StatusErr, err.Error()
 			return
 		}
